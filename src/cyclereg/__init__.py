@@ -29,6 +29,7 @@ from .families import (
     generate_gp,
     generate_hypercube,
     generate_i_graph,
+    vertex_name,
 )
 from .formats import (
     ParseError,
@@ -42,14 +43,11 @@ from .graph import (
     GraphError,
     LabeledGraph,
     SelfLoopError,
-    UNREACHABLE,
     VertexOutOfRangeError,
-    ball,
-    bfs_distances,
+    bfs,
     build_graph,
     connected_components,
     induced_subgraph,
-    is_bipartite,
     is_regular,
 )
 from .recognition import (

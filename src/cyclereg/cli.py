@@ -149,7 +149,11 @@ def cmd_analyze(args: argparse.Namespace) -> int:
         for sigma, edges in sorted(octagon_partition(g).items()):
             print(f"sigma={sigma}: {len(edges)} edges")
         return 0
-    report = regularity_scan(g, args.l, args.m)
+    try:
+        report = regularity_scan(g, args.l, args.m)
+    except ValueError as exc:
+        print(f"analyze error: {exc}", file=sys.stderr)
+        return 2
     if report.is_regular:
         print(f"regular, lambda={report.lambda_value}")
     else:
@@ -200,24 +204,32 @@ def cmd_verify_tables(args: argparse.Namespace) -> int:
 
 def _parse_range(spec: str) -> tuple[int, int]:
     lo, _, hi = spec.partition("..")
-    return int(lo), int(hi or lo)
+    lo, hi = int(lo), int(hi or lo)
+    if not 1 <= lo <= hi:
+        raise ValueError(f"need 1 <= a <= b, got {spec!r}")
+    return lo, hi
 
 
 def cmd_bench(args: argparse.Namespace) -> int:
-    lo, hi = _parse_range(args.n_range)
-    if args.family == "i":
-        sizes = []
-        n = lo
-        while n <= hi:
-            sizes.append(n)
-            n *= 2
-        rows = bench_i_recognition(sizes, args.repeats)
-    elif args.family == "fq":
-        rows = bench_fq_recognition(list(range(lo, hi + 1)), args.repeats)
-    else:
-        print(f"unknown bench family {args.family!r}", file=sys.stderr)
+    try:
+        lo, hi = _parse_range(args.n_range)
+    except ValueError as exc:
+        print(f"bad --n-range (expected a..b): {exc}", file=sys.stderr)
         return 2
-    print("n,edges,median_ns,ns_per_edge")
+    try:
+        if args.family == "i":
+            sizes = []
+            n = lo
+            while n <= hi:
+                sizes.append(n)
+                n *= 2
+            rows = bench_i_recognition(sizes, args.repeats)
+        else:
+            rows = bench_fq_recognition(list(range(lo, hi + 1)), args.repeats)
+    except ParamOutOfRangeError as exc:
+        print(f"parameter error: {exc}", file=sys.stderr)
+        return 2
+    print("n,edges,elapsed_ns,ns_per_edge")
     for r in rows:
         print(f"{r.n},{r.edges},{r.elapsed_ns},{r.ns_per_edge:.1f}")
     return 0

@@ -7,11 +7,10 @@ any agreement between the two is evidence, not tautology.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 from typing import Iterator, Sequence
 
-from .graph import LabeledGraph, Edge
+from .graph import Edge, LabeledGraph, bfs
 
 Path = tuple[int, ...]
 
@@ -77,28 +76,6 @@ def _validate_path(g: LabeledGraph, path: Sequence[int]) -> None:
             raise ValueError(f"({a},{b}) is not an edge")
 
 
-def _truncated_distances(g: LabeledGraph, source: int, radius: int) -> dict[int, int]:
-    """BFS from source out to `radius`; vertices beyond it are absent.
-
-    Returns a dict so the cost is bounded by the ball size, not by |V|;
-    per-edge 8-cycle counts stay constant-time on huge bounded-degree
-    graphs.
-    """
-    dist = {source: 0}
-    queue = deque([source])
-    adj = g.adj
-    while queue:
-        u = queue.popleft()
-        d = dist[u] + 1
-        if d > radius:
-            continue
-        for v in adj[u]:
-            if v not in dist:
-                dist[v] = d
-                queue.append(v)
-    return dist
-
-
 def count_cycles_through_path(g: LabeledGraph, path: Sequence[int], m: int) -> int:
     """Number of distinct m-cycles containing `path` as a subpath.
 
@@ -122,7 +99,7 @@ def count_cycles_through_path(g: LabeledGraph, path: Sequence[int], m: int) -> i
     if remaining == 1:
         return 1 if g.has_edge(start, target) else 0
 
-    dist = _truncated_distances(g, target, remaining - 1)
+    dist = bfs(adj, target, remaining - 1)
     far = remaining
     blocked = set(path)
     dist_get = dist.get
@@ -207,8 +184,8 @@ def regularity_scan(g: LabeledGraph, l: int, m: int) -> RegularityReport:
     """Check whether every path on l+1 vertices lies on the same number of
     m-cycles; early-exits with a two-path witness on the first mismatch.
     """
-    if l >= m:
-        raise ValueError(f"need l < m, got l={l}, m={m}")
+    if not 0 <= l < m or m < 3:
+        raise ValueError(f"need 0 <= l < m and m >= 3, got l={l}, m={m}")
     first_path: Path | None = None
     first_count = 0
     for p in _paths_of_length(g, l):

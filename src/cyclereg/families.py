@@ -1,13 +1,15 @@
 """Deterministic generators for I(n,j,k), G(n,k), DP(n,k), Q_n and FQ_n,
 plus the parameter-level isomorphism rules of those families.
 
-Vertex id conventions (used by generators, certificates and tests alike):
+The generators build bare graphs.  Vertex ids follow one convention, which
+also decides each vertex's family name (`vertex_name`) and each edge's role:
 
-* I(n,j,k):  u_i = i, w_i = n + i.
+* I(n,j,k):  u_i = i, w_i = n + i; outer edges join two u's, inner edges
+  two w's, and spoke u_i w_i is the edge (a, b) with b - a = n.
 * DP(n,k):   u_i = i, w_i = n + i, x_i = 2n + i, y_i = 3n + i.
 * Q_n, FQ_n: ids are the binary strings themselves, bit b of the integer
-  holding string position b + 1; the diagonal partner of v is its bitwise
-  complement.
+  holding string position b + 1; the edge (a, b) runs along dimension
+  a ^ b, and the diagonal partner of v is its bitwise complement.
 """
 
 from __future__ import annotations
@@ -15,12 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import gcd
 
-from .graph import Edge, LabeledGraph, Role, build_graph
-
-OUTER = "outer"
-SPOKE = "spoke"
-INNER = "inner"
-DIAGONAL = "d"
+from .graph import Edge, LabeledGraph, build_graph
 
 
 class ParamOutOfRangeError(ValueError):
@@ -70,6 +67,17 @@ class FQParams:
             raise ParamOutOfRangeError(f"dimension must be >= 1, got {self.n}")
 
 
+def vertex_name(p: IParams | DPParams | FQParams, v: int) -> str:
+    """Family name of generator vertex `v`: u3/w7 for I(n,j,k), u/w/x/y
+    with an index for DP(n,k), and the (n-1)-bit string of v for FQ_n
+    ("" for FQ_1).  Q_n names its vertices as FQ_{n+1} does."""
+    if isinstance(p, FQParams):
+        width = p.n - 1
+        return format(v, f"0{width}b")[::-1] if width else ""
+    side, idx = divmod(v, p.n)
+    return "uwxy"[side] + str(idx)
+
+
 def generate_i_graph(p: IParams) -> LabeledGraph:
     """I(n,j,k): outer edges u_i u_{i+j}, inner w_i w_{i+k}, spokes u_i w_i.
 
@@ -78,21 +86,11 @@ def generate_i_graph(p: IParams) -> LabeledGraph:
     """
     n, j, k = p.n, p.j, p.k
     edges: list[Edge] = []
-    roles: dict[Edge, Role] = {}
-    names: dict[int, str] = {}
     for i in range(n):
-        names[i] = f"u{i}"
-        names[n + i] = f"w{i}"
-    for i in range(n):
-        for a, b, role in (
-            (i, (i + j) % n, OUTER),
-            (n + i, n + (i + k) % n, INNER),
-            (i, n + i, SPOKE),
-        ):
-            e = (a, b) if a < b else (b, a)
-            edges.append(e)
-            roles[e] = role
-    return build_graph(2 * n, edges, edge_roles=roles, vertex_names=names)
+        edges.append((i, (i + j) % n))
+        edges.append((n + i, n + (i + k) % n))
+        edges.append((i, n + i))
+    return build_graph(2 * n, edges)
 
 
 def generate_gp(n: int, k: int) -> LabeledGraph:
@@ -104,83 +102,48 @@ def generate_dp(p: DPParams) -> LabeledGraph:
     """DP(n,k): two GP-like copies with crossed inner edges w_i y_{i+k}, y_i w_{i+k}."""
     n, k = p.n, p.k
     edges: list[Edge] = []
-    roles: dict[Edge, Role] = {}
-    names: dict[int, str] = {}
     u, w, x, y = 0, n, 2 * n, 3 * n
-    for i in range(n):
-        names[u + i] = f"u{i}"
-        names[w + i] = f"w{i}"
-        names[x + i] = f"x{i}"
-        names[y + i] = f"y{i}"
     for i in range(n):
         nxt = (i + 1) % n
         stepped = (i + k) % n
-        for a, b, role in (
-            (u + i, u + nxt, OUTER),
-            (x + i, x + nxt, OUTER),
-            (u + i, w + i, SPOKE),
-            (x + i, y + i, SPOKE),
-            (w + i, y + stepped, INNER),
-            (y + i, w + stepped, INNER),
-        ):
-            e = (a, b) if a < b else (b, a)
-            edges.append(e)
-            roles[e] = role
-    return build_graph(4 * n, edges, edge_roles=roles, vertex_names=names)
+        edges.append((u + i, u + nxt))
+        edges.append((x + i, x + nxt))
+        edges.append((u + i, w + i))
+        edges.append((x + i, y + i))
+        edges.append((w + i, y + stepped))
+        edges.append((y + i, w + stepped))
+    return build_graph(4 * n, edges)
 
 
-def _bits_name(v: int, width: int) -> str:
-    return "".join(str((v >> b) & 1) for b in range(width))
+def _cube_edges(width: int) -> list[Edge]:
+    return [
+        (v, v ^ (1 << b))
+        for v in range(1 << width)
+        for b in range(width)
+        if not v & (1 << b)
+    ]
 
 
 def generate_hypercube(n: int) -> LabeledGraph:
-    """Q_n on 2^n vertices; edge role = 1-based differing bit position."""
+    """Q_n on 2^n vertices; ids differing in exactly one bit are adjacent."""
     if n < 0:
         raise ParamOutOfRangeError(f"dimension must be >= 0, got {n}")
-    size = 1 << n
-    edges: list[Edge] = []
-    roles: dict[Edge, Role] = {}
-    names = {v: _bits_name(v, n) for v in range(size)}
-    for v in range(size):
-        for b in range(n):
-            t = v ^ (1 << b)
-            if v < t:
-                edges.append((v, t))
-                roles[(v, t)] = b + 1
-    return build_graph(size, edges, edge_roles=roles, vertex_names=names)
+    return build_graph(1 << n, _cube_edges(n))
 
 
 def generate_folded_cube(p: FQParams) -> LabeledGraph:
     """FQ_n = Q_{n-1} plus the complementary-pair diagonal matching.
 
     2^(n-1) vertices of degree n for n >= 3.  FQ_1 is K_1 and FQ_2 is K_2
-    (the would-be diagonal of FQ_2 coincides with the lone hypercube edge,
-    so the single edge is tagged as the diagonal).
+    (the would-be diagonal of FQ_2 coincides with the lone hypercube edge).
     """
-    n = p.n
-    if n == 1:
-        return build_graph(1, [], vertex_names={0: ""})
-    if n == 2:
-        return build_graph(
-            2, [(0, 1)], edge_roles={(0, 1): DIAGONAL}, vertex_names={0: "0", 1: "1"}
-        )
-    width = n - 1
+    width = p.n - 1
     size = 1 << width
     mask = size - 1
-    edges: list[Edge] = []
-    roles: dict[Edge, Role] = {}
-    names = {v: _bits_name(v, width) for v in range(size)}
-    for v in range(size):
-        for b in range(width):
-            t = v ^ (1 << b)
-            if v < t:
-                edges.append((v, t))
-                roles[(v, t)] = b + 1
-        t = v ^ mask
-        if v < t:
-            edges.append((v, t))
-            roles[(v, t)] = DIAGONAL
-    return build_graph(size, edges, edge_roles=roles, vertex_names=names)
+    edges = _cube_edges(width)
+    if width >= 2:
+        edges.extend((v, v ^ mask) for v in range(size // 2))
+    return build_graph(size, edges)
 
 
 def _fold(x: int, n: int) -> int:

@@ -12,6 +12,10 @@ from __future__ import annotations
 
 from .graph import Edge, LabeledGraph, build_graph
 
+#: Largest vertex count an edge-list header may ask for; checked before any
+#: allocation, since build_graph allocates one adjacency list per vertex.
+MAX_EDGE_LIST_VERTICES = 1 << 22
+
 
 class ParseError(ValueError):
     def __init__(self, message: str, line: int | None = None):
@@ -43,6 +47,10 @@ def parse_edge_list(text: str) -> LabeledGraph:
         if header is None:
             if a < 0 or b < 0:
                 raise ParseError("header counts must be nonnegative", lineno)
+            if a > MAX_EDGE_LIST_VERTICES:
+                raise ParseError(
+                    f"header asks for {a} vertices, more than {MAX_EDGE_LIST_VERTICES}", lineno
+                )
             header = (a, b)
         else:
             edges.append((a, b))

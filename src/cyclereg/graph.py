@@ -1,23 +1,18 @@
 """Minimal immutable undirected simple-graph substrate.
 
-Vertices are dense integer ids 0..n-1.  Family names (u3, w7, binary
-strings, ...) and edge roles (outer/spoke/inner, cube dimension labels)
-are optional side tables, never keys.
+Vertices are dense integer ids 0..n-1 and nothing else is stored: family
+names (u3, w7, binary strings, ...) are rendered from the ids by
+`families.vertex_name`, and edge roles follow from the id convention.
 """
 
 from __future__ import annotations
 
-import math
 from bisect import bisect_left
 from collections import deque
-from dataclasses import dataclass, field
-from typing import Iterator, Mapping, Sequence
-
-#: Distance sentinel for unreachable vertices.
-UNREACHABLE = math.inf
+from dataclasses import dataclass
+from typing import Iterator, Sequence
 
 Edge = tuple[int, int]
-Role = int | str
 
 
 class GraphError(ValueError):
@@ -42,7 +37,7 @@ def _norm(u: int, v: int) -> Edge:
 
 @dataclass(frozen=True)
 class LabeledGraph:
-    """Undirected simple graph with optional vertex names and edge roles.
+    """Undirected simple graph on the vertex ids 0..n-1.
 
     Immutable after construction; adjacency lists are kept sorted so edge
     lookup is O(log deg) and equal graphs have identical representations.
@@ -50,8 +45,6 @@ class LabeledGraph:
 
     n: int
     adj: tuple[tuple[int, ...], ...]
-    edge_roles: Mapping[Edge, Role] | None = field(default=None, compare=False)
-    vertex_names: Mapping[int, str] | None = field(default=None, compare=False)
 
     @property
     def m(self) -> int:
@@ -71,18 +64,8 @@ class LabeledGraph:
                 if u < v:
                     yield (u, v)
 
-    def name_of(self, v: int) -> str:
-        if self.vertex_names is not None and v in self.vertex_names:
-            return self.vertex_names[v]
-        return str(v)
 
-
-def build_graph(
-    n: int,
-    edges: Sequence[tuple[int, int]],
-    edge_roles: Mapping[Edge, Role] | None = None,
-    vertex_names: Mapping[int, str] | None = None,
-) -> LabeledGraph:
+def build_graph(n: int, edges: Sequence[tuple[int, int]]) -> LabeledGraph:
     """Build a simple graph, rejecting self-loops, duplicates and bad ids."""
     if n < 0:
         raise VertexOutOfRangeError("vertex count must be nonnegative")
@@ -99,12 +82,7 @@ def build_graph(
         seen.add(e)
         adj[u].append(v)
         adj[v].append(u)
-    return LabeledGraph(
-        n=n,
-        adj=tuple(tuple(sorted(nbrs)) for nbrs in adj),
-        edge_roles=dict(edge_roles) if edge_roles is not None else None,
-        vertex_names=dict(vertex_names) if vertex_names is not None else None,
-    )
+    return LabeledGraph(n=n, adj=tuple(tuple(sorted(nbrs)) for nbrs in adj))
 
 
 def is_regular(g: LabeledGraph, k: int) -> bool:
@@ -136,48 +114,30 @@ def connected_components(g: LabeledGraph) -> list[list[int]]:
     return comps
 
 
-def bfs_distances(
-    g: LabeledGraph, source: int, radius: int | None = None
-) -> list[int | float]:
-    """BFS distances from `source`; unreachable vertices get UNREACHABLE.
+def bfs(
+    adj: Sequence[Sequence[int]], source: int, radius: int | None = None
+) -> dict[int, int]:
+    """BFS distances from `source` out to `radius` (default: unbounded).
 
-    With `radius`, the search stops at that depth (vertices beyond it are
-    reported unreachable), which keeps local queries on huge graphs cheap.
+    Unreachable vertices, and those beyond the radius, are absent; the keys
+    are in the order the search reaches them.  The dict keeps the cost
+    bounded by the ball, not by |V|, so per-edge 8-cycle counts stay
+    constant-time on huge bounded-degree graphs.
     """
-    if not 0 <= source < g.n:
-        raise VertexOutOfRangeError(f"source {source} outside 0..{g.n - 1}")
-    dist: list[int | float] = [UNREACHABLE] * g.n
-    dist[source] = 0
+    if radius is None:
+        radius = len(adj)
+    dist = {source: 0}
     queue = deque([source])
     while queue:
         u = queue.popleft()
         d = dist[u] + 1
-        if radius is not None and d > radius:
+        if d > radius:
             continue
-        for v in g.adj[u]:
-            if dist[v] is UNREACHABLE:
+        for v in adj[u]:
+            if v not in dist:
                 dist[v] = d
                 queue.append(v)
     return dist
-
-
-def is_bipartite(g: LabeledGraph) -> bool:
-    """True iff the graph admits a proper 2-coloring."""
-    color = [-1] * g.n
-    for s in range(g.n):
-        if color[s] != -1:
-            continue
-        color[s] = 0
-        queue = deque([s])
-        while queue:
-            u = queue.popleft()
-            for v in g.adj[u]:
-                if color[v] == -1:
-                    color[v] = color[u] ^ 1
-                    queue.append(v)
-                elif color[v] == color[u]:
-                    return False
-    return True
 
 
 def induced_subgraph(
@@ -186,43 +146,10 @@ def induced_subgraph(
     """Induced subgraph on `vertices` plus the new-id -> old-id table."""
     old_ids = sorted(set(vertices))
     remap = {old: new for new, old in enumerate(old_ids)}
-    edges = []
-    roles: dict[Edge, Role] = {}
-    names: dict[int, str] = {}
-    for old_u in old_ids:
-        for old_v in g.adj[old_u]:
-            if old_u < old_v and old_v in remap:
-                e = (remap[old_u], remap[old_v])
-                edges.append(e)
-                if g.edge_roles is not None:
-                    role = g.edge_roles.get((old_u, old_v))
-                    if role is not None:
-                        roles[e] = role
-    if g.vertex_names is not None:
-        for old in old_ids:
-            if old in g.vertex_names:
-                names[remap[old]] = g.vertex_names[old]
-    sub = build_graph(
-        len(old_ids),
-        edges,
-        edge_roles=roles if roles else None,
-        vertex_names=names if names else None,
-    )
-    return sub, old_ids
-
-
-def ball(
-    g: LabeledGraph, center_edge: Edge, radius: int
-) -> tuple[LabeledGraph, list[int]]:
-    """Induced subgraph on all vertices within `radius` of either endpoint.
-
-    In a cubic graph a radius-4 ball has order at most 62, which is what
-    makes per-edge 8-cycle counts constant-time.
-    """
-    u, v = center_edge
-    if not g.has_edge(u, v):
-        raise GraphError(f"({u},{v}) is not an edge")
-    du = bfs_distances(g, u, radius=radius)
-    dv = bfs_distances(g, v, radius=radius)
-    keep = [x for x in range(g.n) if du[x] <= radius or dv[x] <= radius]
-    return induced_subgraph(g, keep)
+    edges = [
+        (remap[u], remap[v])
+        for u in old_ids
+        for v in g.adj[u]
+        if u < v and v in remap
+    ]
+    return build_graph(len(old_ids), edges), old_ids

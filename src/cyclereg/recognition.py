@@ -4,6 +4,8 @@ Every accept path ends in `verify_certificate`, which replays the claimed
 labeling against the family generator edge-for-edge; a recognizer can
 therefore never accept a graph the generator cannot reproduce.  All
 recognizers take arbitrary graphs and reject with a reason otherwise.
+Labelings are built on generator vertex ids and rendered to names by
+`families.vertex_name` alone.
 """
 
 from __future__ import annotations
@@ -23,12 +25,13 @@ from .families import (
     generate_dp,
     generate_folded_cube,
     generate_i_graph,
-    _bits_name,
+    vertex_name,
     _fold,
 )
 from .graph import (
     Edge,
     LabeledGraph,
+    bfs,
     connected_components,
     induced_subgraph,
     is_regular,
@@ -65,55 +68,42 @@ class Rejection:
     detail: str = ""
 
 
-def _generate(family: str, params: tuple[int, ...]) -> LabeledGraph:
-    if family == I_GRAPH:
-        return generate_i_graph(IParams(*params))
-    if family == DP_GRAPH:
-        return generate_dp(DPParams(*params))
-    if family == FOLDED_CUBE:
-        return generate_folded_cube(FQParams(*params))
-    raise ValueError(f"unknown family {family!r}")
+_PARAMS = {I_GRAPH: IParams, DP_GRAPH: DPParams, FOLDED_CUBE: FQParams}
+
+
+def _generate(p: IParams | DPParams | FQParams) -> LabeledGraph:
+    if isinstance(p, IParams):
+        return generate_i_graph(p)
+    if isinstance(p, DPParams):
+        return generate_dp(p)
+    return generate_folded_cube(p)
+
+
+def _ids_by_name(p: IParams | DPParams | FQParams, order: int) -> dict[str, int]:
+    return {vertex_name(p, v): v for v in range(order)}
 
 
 def verify_certificate(g: LabeledGraph, cert: Certificate) -> bool:
-    """Replay the labeling: relabeled g must equal the generator output
-    edge-for-edge.  Linear in the size of the graph."""
+    """Replay the labeling: read each name back to a generator vertex id
+    through `vertex_name`, then require a bijection onto the generator's
+    vertices that carries every edge of g to an edge.  Linear in the size
+    of the graph."""
     try:
-        model = _generate(cert.family, cert.params)
-    except ValueError:
+        p = _PARAMS[cert.family](*cert.params)
+    except (KeyError, TypeError, ValueError):  # unknown family, wrong arity or range
         return False
+    model = _generate(p)
     if model.n != g.n or model.m != g.m:
         return False
-    assert model.vertex_names is not None
-    name_to_id = {name: v for v, name in model.vertex_names.items()}
-    phi: list[int | None] = [None] * g.n
-    used = [False] * model.n
-    for v in range(g.n):
-        name = cert.labeling.get(v)
-        if name is None or name not in name_to_id:
-            return False
-        mv = name_to_id[name]
-        if used[mv]:
-            return False
-        used[mv] = True
-        phi[v] = mv
+    ids = _ids_by_name(p, model.n)
+    phi = [ids.get(cert.labeling.get(v)) for v in range(g.n)]
+    if None in phi or len(set(phi)) != g.n:
+        return False
     return all(model.has_edge(phi[a], phi[b]) for a, b in g.edges())
 
 
 # ---------------------------------------------------------------------------
 # bounded isomorphism (constant-size table lookups)
-
-
-def _distance_signature(g: LabeledGraph, v: int) -> tuple:
-    dist = {v: 0}
-    queue = deque([v])
-    while queue:
-        u = queue.popleft()
-        for w in g.adj[u]:
-            if w not in dist:
-                dist[w] = dist[u] + 1
-                queue.append(w)
-    return tuple(sorted(Counter(dist.values()).items()))
 
 
 def find_isomorphism(g1: LabeledGraph, g2: LabeledGraph) -> dict[int, int] | None:
@@ -128,8 +118,10 @@ def find_isomorphism(g1: LabeledGraph, g2: LabeledGraph) -> dict[int, int] | Non
         return None
     if sorted(map(len, g1.adj)) != sorted(map(len, g2.adj)):
         return None
-    sig1 = [_distance_signature(g1, v) for v in range(n)]
-    sig2 = [_distance_signature(g2, v) for v in range(n)]
+    def distance_profiles(g: LabeledGraph) -> list[tuple]:
+        return [tuple(sorted(Counter(bfs(g.adj, v).values()).items())) for v in range(n)]
+
+    sig1, sig2 = distance_profiles(g1), distance_profiles(g2)
     if sorted(sig1) != sorted(sig2):
         return None
     by_sig: dict[tuple, list[int]] = {}
@@ -138,19 +130,12 @@ def find_isomorphism(g1: LabeledGraph, g2: LabeledGraph) -> dict[int, int] | Non
 
     # visit g1 vertices in BFS order so candidates are adjacency-constrained
     order: list[int] = []
-    seen = [False] * n
+    seen: set[int] = set()
     for s in sorted(range(n), key=lambda v: len(by_sig.get(sig1[v], []))):
-        if seen[s]:
-            continue
-        seen[s] = True
-        queue = deque([s])
-        while queue:
-            u = queue.popleft()
-            order.append(u)
-            for w in g1.adj[u]:
-                if not seen[w]:
-                    seen[w] = True
-                    queue.append(w)
+        if s not in seen:
+            reached = bfs(g1.adj, s)
+            order.extend(reached)
+            seen.update(reached)
 
     mapping: dict[int, int] = {}
     used = [False] * n
@@ -308,9 +293,9 @@ def _i_labeling_consistent(
     return True
 
 
-def _i_names(u_idx: dict[int, int], w_idx: dict[int, int]) -> dict[int, str]:
-    labeling = {v: f"u{i}" for v, i in u_idx.items()}
-    labeling.update({v: f"w{i}" for v, i in w_idx.items()})
+def _i_names(p: IParams, u_idx: dict[int, int], w_idx: dict[int, int]) -> dict[int, str]:
+    labeling = {v: vertex_name(p, i) for v, i in u_idx.items()}
+    labeling.update({v: vertex_name(p, p.n + i) for v, i in w_idx.items()})
     return labeling
 
 
@@ -443,7 +428,8 @@ def _i_label_attempt(
             return None
         if not _i_labeling_consistent(g, n, j, k, u_idx, w_idx):
             return None
-        return IParams(n, j, k), _i_names(u_idx, w_idx)
+        p = IParams(n, j, k)
+        return p, _i_names(p, u_idx, w_idx)
 
     # several rim cycles: orient via the alternating 8-cycle and march
     u0, uj = rim[0], rim[1]
@@ -565,7 +551,8 @@ def _i_complete(
         return None
     if not _i_labeling_consistent(g, n, j, k, u_idx, w_idx):
         return None
-    return IParams(n, j, k), _i_names(u_idx, w_idx)
+    p = IParams(n, j, k)
+    return p, _i_names(p, u_idx, w_idx)
 
 
 def extend_i(g: LabeledGraph, spokes: list[Edge]) -> Certificate | Rejection:
@@ -586,27 +573,24 @@ def _constant_branch(
     g: LabeledGraph, family: str, stored: tuple[tuple[int, ...], ...]
 ) -> Certificate | Rejection:
     for params in stored:
-        model = _generate(family, params)
+        p = _PARAMS[family](*params)
+        model = _generate(p)
         if model.n != g.n or model.m != g.m:
             continue
         iso = find_isomorphism(g, model)
         if iso is None:
             continue
-        labeling = {v: model.name_of(iso[v]) for v in range(g.n)}
+        labeling = {v: vertex_name(p, iso[v]) for v in range(g.n)}
         if family == I_GRAPH:
-            canon = canonical_i_params(IParams(*params))
+            canon = canonical_i_params(p)
             canonical = (canon.n, canon.j, canon.k)
         else:
-            canon_dp = dp_canonical_params(DPParams(*params))
+            canon_dp = dp_canonical_params(p)
             canonical = (canon_dp.n, canon_dp.k)
         cert = Certificate(family, params, canonical, labeling)
         if verify_certificate(g, cert):
             return cert
     return Rejection("not-isomorphic", "constant 8-cycle count but no stored match")
-
-
-def _parse_name(name: str) -> tuple[str, int]:
-    return name[0], int(name[1:])
 
 
 def _merge_i_components(
@@ -618,26 +602,27 @@ def _merge_i_components(
         return Rejection("not-isomorphic", "components are not identical I-graphs")
     cn, cj, ck = canon_set.pop()
     d = len(comps)
+    merged = IParams(d * cn, d * cj, d * ck)
     labeling: dict[int, str] = {}
     for r, (comp, cert) in enumerate(zip(comps, certs)):
-        pn, pj, pk = cert.params
-        transform = _i_canonical_transform(IParams(pn, pj, pk))
+        p = IParams(*cert.params)
+        ids = _ids_by_name(p, len(comp))
+        transform = _i_canonical_transform(p)
         for local_v, old_v in enumerate(comp):
-            side, idx = _parse_name(cert.labeling[local_v])
-            side, idx = transform(side, idx)
-            labeling[old_v] = f"{side}{r + idx * d}"
-    params = (d * cn, d * cj, d * ck)
-    canon = canonical_i_params(IParams(*params))
-    cert = Certificate(I_GRAPH, params, (canon.n, canon.j, canon.k), labeling)
+            side, idx = transform(*divmod(ids[cert.labeling[local_v]], p.n))
+            labeling[old_v] = vertex_name(merged, side * merged.n + r + idx * d)
+    canon = canonical_i_params(merged)
+    cert = Certificate(I_GRAPH, (merged.n, merged.j, merged.k),
+                       (canon.n, canon.j, canon.k), labeling)
     if not verify_certificate(g, cert):
         return Rejection("labeling-inconsistent", "component merge failed verification")
     return cert
 
 
 def _i_canonical_transform(p: IParams):
-    """Name rewriter mapping an I(n,j,k) labeling onto canonical parameters:
-    multiply indices by a witnessing unit, swapping rims when the sorted
-    order demands it."""
+    """(side, index) rewriter mapping an I(n,j,k) labeling onto canonical
+    parameters, side 0 being the u-rim and 1 the w-rim: multiply indices by
+    a witnessing unit, swapping rims when the sorted order demands it."""
     canon = canonical_i_params(p)
     n = p.n
     for a in range(1, n):
@@ -646,71 +631,29 @@ def _i_canonical_transform(p: IParams):
         nj, nk = _fold(a * p.j, n), _fold(a * p.k, n)
         if tuple(sorted((nj, nk))) == (canon.j, canon.k):
             swap = nj > nk
-            def rewrite(side: str, idx: int, a=a, swap=swap) -> tuple[str, int]:
-                new = (a * idx) % n
-                if swap:
-                    side = "w" if side == "u" else "u"
-                return side, new
+            def rewrite(side: int, idx: int, a=a, swap=swap) -> tuple[int, int]:
+                return side ^ swap, (a * idx) % n
             return rewrite
     raise AssertionError("canonicalization witness must exist")
-
-
-def recognize_i_graph(g: LabeledGraph) -> Certificate | Rejection:
-    """Robust I-graph recognition: partition edges by their 8-cycle count,
-    pull out the spokes, extend, and verify."""
-    if not is_regular(g, 3):
-        return Rejection("not-cubic")
-    if g.n % 2:
-        return Rejection("odd-order")
-    if g.n < 6:
-        return Rejection("odd-order", f"|V| = {g.n} is not 2n with n >= 3")
-    comps = connected_components(g)
-    if len(comps) > 1:
-        certs = []
-        for comp in comps:
-            sub, _ = induced_subgraph(g, comp)
-            res = recognize_i_graph(sub)
-            if isinstance(res, Rejection):
-                return res
-            certs.append(res)
-        return _merge_i_components(g, comps, certs)
-
-    parts = octagon_partition(g)
-    if len(parts) == 1:
-        return _constant_branch(g, I_GRAPH, I_CONSTANT_OCTAGON)
-    last: Certificate | Rejection = Rejection("partition-shape", "no spoke class found")
-    for cls in _minimal_classes(parts):
-        spokes = _spoke_candidate(g, cls)
-        if spokes is None:
-            continue
-        last = extend_i(g, spokes)
-        if isinstance(last, Certificate):
-            return last
-    return last if isinstance(last, Rejection) else Rejection("not-isomorphic")
 
 
 # ---------------------------------------------------------------------------
 # DP-graph recognition
 
 
-def _dp_labeling_consistent(
-    g: LabeledGraph, n: int, k: int, sides: dict[int, tuple[str, int]]
-) -> bool:
-    if len(sides) != g.n:
+def _dp_labeling_consistent(g: LabeledGraph, n: int, k: int, ids: dict[int, int]) -> bool:
+    """Direct edge-by-edge check of a full labeling (input vertex -> DP(n,k)
+    generator id) against DP(n,k)."""
+    if len(ids) != g.n:
         return False
+    # index steps allowed between the sides u, w, x, y = 0, 1, 2, 3
+    steps = {(0, 0): (1, n - 1), (2, 2): (1, n - 1), (0, 1): (0,), (2, 3): (0,),
+             (1, 3): (k, n - k)}
     for a, b in g.edges():
-        (sa, ia), (sb, ib) = sides[a], sides[b]
-        pair = sa + sb if sa <= sb else sb + sa
-        if pair in ("uu", "xx"):
-            if (ib - ia) % n not in (1, n - 1):
-                return False
-        elif pair in ("uw", "xy"):
-            if ia != ib:
-                return False
-        elif pair == "wy":
-            if (ib - ia) % n not in (k, n - k):
-                return False
-        else:
+        sa, ia = divmod(ids[a], n)
+        sb, ib = divmod(ids[b], n)
+        allowed = steps.get((sa, sb) if sa <= sb else (sb, sa))
+        if allowed is None or (ib - ia) % n not in allowed:
             return False
     return True
 
@@ -778,17 +721,17 @@ def _dp_label_attempts(
     walking the even-length arc of the second rim from one of its two
     endpoints (for even n both arcs are even, giving the twin pair).
     """
-    sides: dict[int, tuple[str, int]] = {}
+    ids: dict[int, int] = {}
     for t, v in enumerate(rim):
         w = partner[v]
-        if w in sides or v in sides or w == v:
+        if w in ids or v in ids or w == v:
             return
-        sides[v] = ("u", t)
-        sides[w] = ("w", t)
+        ids[v] = t  # u_t
+        ids[w] = n + t  # w_t
     w0 = partner[rim[0]]
     a, b = fnbrs[w0]
     xa, xb = partner[a], partner[b]
-    if xa == xb or xa in sides or xb in sides or a in sides or b in sides:
+    if xa == xb or xa in ids or xb in ids or a in ids or b in ids:
         return
     cx_id = cycle_id.get(xa)
     if cx_id is None or cx_id == rim_id:
@@ -812,7 +755,7 @@ def _dp_label_attempts(
     for k, start, direction in options:
         if k < 1 or 2 * k >= n:
             continue
-        trial = dict(sides)
+        trial = dict(ids)
         ok = True
         for s in range(n):
             v = cx[(start + direction * s) % n]
@@ -821,14 +764,14 @@ def _dp_label_attempts(
                 ok = False
                 break
             idx = (-k + s) % n
-            trial[v] = ("x", idx)
-            trial[y] = ("y", idx)
+            trial[v] = 2 * n + idx  # x_idx
+            trial[y] = 3 * n + idx  # y_idx
         if not ok:
             continue
         if not _dp_labeling_consistent(g, n, k, trial):
             continue
-        labeling = {v: f"{side}{idx}" for v, (side, idx) in trial.items()}
-        yield DPParams(n, k), labeling
+        p = DPParams(n, k)
+        yield p, {v: vertex_name(p, i) for v, i in trial.items()}
 
 
 def extend_dp(g: LabeledGraph, spokes: list[Edge]) -> Certificate | Rejection:
@@ -844,27 +787,92 @@ def extend_dp(g: LabeledGraph, spokes: list[Edge]) -> Certificate | Rejection:
     return cert
 
 
-def recognize_dp(g: LabeledGraph) -> Certificate | Rejection:
-    """Robust DP-graph recognition; same pipeline as the I-graph case with
-    n = |V|/4 and the two stored cycle-regular members."""
-    if not is_regular(g, 3):
-        return Rejection("not-cubic")
-    if g.n % 4 or g.n < 12:
+# ---------------------------------------------------------------------------
+# the cubic pipeline shared by I- and DP-graphs
+
+
+def _order_rejection(g: LabeledGraph, family: str) -> Rejection | None:
+    if family == I_GRAPH:
+        if g.n % 2:
+            return Rejection("odd-order")
+        if g.n < 6:
+            return Rejection("odd-order", f"|V| = {g.n} is not 2n with n >= 3")
+    elif g.n % 4 or g.n < 12:
         return Rejection("odd-order", f"|V| = {g.n} is not 4n with n >= 3")
-    if len(connected_components(g)) != 1:
-        return Rejection("disconnected", "DP-graphs are connected")
-    parts = octagon_partition(g)
+    return None
+
+
+def _i_components(g: LabeledGraph, comps: list[list[int]]) -> Certificate | Rejection:
+    """An I-graph with gcd(n,j,k) = d > 1 is d identical copies: recognize
+    each component and merge the certificates."""
+    certs = []
+    for comp in comps:
+        sub, _ = induced_subgraph(g, comp)
+        res = _recognize_cubic(sub, (I_GRAPH,))
+        if isinstance(res, Rejection):
+            return res
+        certs.append(res)
+    return _merge_i_components(g, comps, certs)
+
+
+def _from_partition(
+    g: LabeledGraph, family: str, parts: dict[int, list[Edge]]
+) -> Certificate | Rejection:
+    """Pull the spokes out of the minimal 8-cycle-count classes and extend."""
     if len(parts) == 1:
-        return _constant_branch(g, DP_GRAPH, DP_CONSTANT_OCTAGON)
+        stored = I_CONSTANT_OCTAGON if family == I_GRAPH else DP_CONSTANT_OCTAGON
+        return _constant_branch(g, family, stored)
+    extend = extend_i if family == I_GRAPH else extend_dp
     last: Certificate | Rejection = Rejection("partition-shape", "no spoke class found")
     for cls in _minimal_classes(parts):
         spokes = _spoke_candidate(g, cls)
         if spokes is None:
             continue
-        last = extend_dp(g, spokes)
+        last = extend(g, spokes)
         if isinstance(last, Certificate):
-            return last
-    return last if isinstance(last, Rejection) else Rejection("not-isomorphic")
+            break
+    return last
+
+
+def _recognize_cubic(g: LabeledGraph, families: tuple[str, ...]) -> Certificate | Rejection:
+    """Try each of `families` (I before DP) on one octagon partition.
+
+    Each family keeps its own order and connectivity preconditions; the
+    partition is computed at most once, for a connected input.  The first
+    certificate wins; when every family fails, the first one's rejection is
+    returned.
+    """
+    if not is_regular(g, 3):
+        return Rejection("not-cubic")
+    comps = parts = None
+    rejections = []
+    for family in families:
+        res = _order_rejection(g, family)
+        if res is None:
+            comps = comps or connected_components(g)
+            if len(comps) == 1:
+                parts = parts or octagon_partition(g)
+                res = _from_partition(g, family, parts)
+            elif family == I_GRAPH:
+                res = _i_components(g, comps)
+            else:
+                res = Rejection("disconnected", "DP-graphs are connected")
+        if isinstance(res, Certificate):
+            return res
+        rejections.append(res)
+    return rejections[0]
+
+
+def recognize_i_graph(g: LabeledGraph) -> Certificate | Rejection:
+    """Robust I-graph recognition: partition edges by their 8-cycle count,
+    pull out the spokes, extend, and verify."""
+    return _recognize_cubic(g, (I_GRAPH,))
+
+
+def recognize_dp(g: LabeledGraph) -> Certificate | Rejection:
+    """Robust DP-graph recognition; same pipeline as the I-graph case with
+    n = |V|/4 and the two stored cycle-regular members."""
+    return _recognize_cubic(g, (DP_GRAPH,))
 
 
 # ---------------------------------------------------------------------------
@@ -971,16 +979,11 @@ def extend_fq(g: LabeledGraph, diagonals: list[Edge]) -> Certificate | Rejection
     if sum(len(nb) for nb in hadj) != width * size:
         return Rejection("edge-count", "hypercube part has the wrong number of edges")
 
-    color = [-1] * size
-    color[0] = 0
-    queue = deque([0])
-    while queue:
-        x = queue.popleft()
+    # bipartite iff no edge joins two BFS layers of the same parity
+    layer = bfs(hadj, 0)
+    for x, lx in layer.items():
         for y in hadj[x]:
-            if color[y] == -1:
-                color[y] = color[x] ^ 1
-                queue.append(y)
-            elif color[y] == color[x]:
+            if (layer[y] - lx) % 2 == 0:
                 return Rejection("not-bipartite", "hypercube part is not bipartite")
 
     member = [0] * size  # stamp of the split currently containing the vertex
@@ -1089,7 +1092,8 @@ def extend_fq(g: LabeledGraph, diagonals: list[Edge]) -> Certificate | Rejection
     for s, t in diagonals:
         if labels[s] ^ labels[t] != mask:
             return Rejection("diagonal-mismatch", "diagonal joins non-complementary labels")
-    labeling = {x: _bits_name(lbl, width) for x, lbl in labels.items()}
+    p = FQParams(n)
+    labeling = {x: vertex_name(p, lbl) for x, lbl in labels.items()}
     cert = Certificate(FOLDED_CUBE, (n,), (n,), labeling)
     if not verify_certificate(g, cert):
         return Rejection("not-isomorphic", "certificate failed verification")
@@ -1102,11 +1106,10 @@ def recognize_folded_cube(g: LabeledGraph) -> Certificate | Rejection:
     size = g.n
     if size == 0:
         return Rejection("order", "empty graph")
-    if size == 1:
-        cert = Certificate(FOLDED_CUBE, (1,), (1,), {0: ""})
-        return cert if verify_certificate(g, cert) else Rejection("not-isomorphic")
-    if size == 2:
-        cert = Certificate(FOLDED_CUBE, (2,), (2,), {0: "0", 1: "1"})
+    if size in (1, 2):  # FQ_1 = K_1 and FQ_2 = K_2, labeled by identity
+        p = FQParams(size)
+        labeling = {v: vertex_name(p, v) for v in range(size)}
+        cert = Certificate(FOLDED_CUBE, (size,), (size,), labeling)
         return cert if verify_certificate(g, cert) else Rejection("not-isomorphic")
     if size & (size - 1):
         return Rejection("order", f"|V| = {size} is not a power of two")
@@ -1127,7 +1130,7 @@ def recognize(g: LabeledGraph) -> Certificate | Rejection:
     The folded-cube degree/order precondition is the cheapest filter and is
     disjoint from the cubic families except for K_4 = FQ_3, so at most one
     expensive path runs: folded cube when the pattern fits, otherwise
-    I-graph then DP-graph.
+    I-graph then DP-graph on one shared octagon partition.
     """
     size = g.n
     if size in (1, 2) or (
@@ -1135,9 +1138,5 @@ def recognize(g: LabeledGraph) -> Certificate | Rejection:
     ):
         return recognize_folded_cube(g)
     if is_regular(g, 3) and size % 2 == 0:
-        res = recognize_i_graph(g)
-        if isinstance(res, Certificate):
-            return res
-        dp = recognize_dp(g)
-        return dp if isinstance(dp, Certificate) else res
+        return _recognize_cubic(g, (I_GRAPH, DP_GRAPH))
     return Rejection("not-cubic", "degree/order pattern fits no supported family")

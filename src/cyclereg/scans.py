@@ -22,7 +22,6 @@ from .families import (
     generate_folded_cube,
     generate_i_graph,
 )
-from .graph import LabeledGraph
 from .recognition import Certificate, recognize_folded_cube, recognize_i_graph
 from .tables import fq_lambda, published_fq_lambda
 
@@ -72,37 +71,28 @@ def dp_grid(max_n: int) -> list[DPParams]:
     ]
 
 
-def _orbit_seed_edges(g: LabeledGraph) -> dict[str, tuple[int, int]]:
-    seeds: dict[str, tuple[int, int]] = {}
-    assert g.edge_roles is not None
-    for e in g.edges():
-        role = g.edge_roles[e]
-        if role not in seeds:
-            seeds[role] = e
-            if len(seeds) == 3:
-                break
-    return seeds
+def measured_octagon(p: IParams | DPParams) -> OctagonTriple:
+    """Oracle (outer, spoke, inner) 8-cycle triple of I(n,j,k) or DP(n,k).
 
-
-def measured_octagon(g: LabeledGraph) -> OctagonTriple:
-    """Oracle per-orbit 8-cycle triple, one seed edge per role orbit.
-
-    Valid for generator outputs, where the rotation (and copy swap) makes
-    the count constant on each orbit.
+    One seed edge per orbit, by the id convention: u_0 u_j, u_0 w_0 and
+    w_0 w_k for I; u_0 u_1, u_0 w_0 and w_0 y_k for DP.  The rotation (and
+    the DP copy swap) makes the count constant on each orbit.
     """
-    seeds = _orbit_seed_edges(g)
-    return OctagonTriple(
-        octagon_value(g, seeds["outer"]),
-        octagon_value(g, seeds["spoke"]),
-        octagon_value(g, seeds["inner"]),
-    )
+    n = p.n
+    if isinstance(p, IParams):
+        g = generate_i_graph(p)
+        seeds = ((0, p.j), (0, n), (n, n + p.k))
+    else:
+        g = generate_dp(p)
+        seeds = ((0, 1), (0, n), (n, 3 * n + p.k))
+    return OctagonTriple(*(octagon_value(g, e) for e in seeds))
 
 
 def scan_cycle_regular_i(max_n: int) -> dict[tuple[int, int, int], int]:
     """Canonical I-graphs with a constant per-edge 8-cycle count, by oracle."""
     found = {}
     for p in canonical_i_grid(max_n):
-        triple = measured_octagon(generate_i_graph(p))
+        triple = measured_octagon(p)
         if triple.is_constant():
             found[(p.n, p.j, p.k)] = triple.sigma_outer
     return found
@@ -112,7 +102,7 @@ def scan_cycle_regular_dp(max_n: int) -> dict[tuple[int, int], int]:
     """DP-graphs with a constant per-edge 8-cycle count, by oracle."""
     found = {}
     for p in dp_grid(max_n):
-        triple = measured_octagon(generate_dp(p))
+        triple = measured_octagon(p)
         if triple.is_constant():
             found[(p.n, p.k)] = triple.sigma_outer
     return found

@@ -10,8 +10,8 @@ settings.load_profile("repro")
 
 
 def shuffled(g: LabeledGraph, seed: int) -> LabeledGraph:
-    """Random vertex relabeling with names and roles stripped, so the
-    recognizers see only raw structure."""
+    """Random vertex relabeling and edge order, so the recognizers see only
+    raw structure."""
     rng = random.Random(seed)
     perm = list(range(g.n))
     rng.shuffle(perm)

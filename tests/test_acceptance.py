@@ -140,10 +140,10 @@ def test_criterion_2_dp_scan_and_twin():
 def test_criterion_3_octagon_agreement():
     bad = []
     for p in canonical_i_grid(40):
-        if predict_i_octagon(p) != measured_octagon(generate_i_graph(p)):
+        if predict_i_octagon(p) != measured_octagon(p):
             bad.append(("i", p))
     for p in dp_grid(40):
-        if predict_dp_octagon(p) != measured_octagon(generate_dp(p)):
+        if predict_dp_octagon(p) != measured_octagon(p):
             bad.append(("dp", p))
     _report(3, not bad, f"octagon prediction vs oracle on full n<=40 grids: "
                         f"{len(bad)} mismatches")

@@ -1,5 +1,7 @@
+import pytest
+
 from cyclereg import generate_gp
-from cyclereg.cli import main
+from cyclereg.cli import _parse_range, main
 from cyclereg.formats import decode_graph6, parse_edge_list
 
 
@@ -146,5 +148,28 @@ def test_bench_single_size_rows(capsys):
                        "--n-range", "200..200", "--repeats", "3")
     assert code == 0
     lines = out.strip().splitlines()
-    assert lines[0] == "n,edges,median_ns,ns_per_edge"
+    assert lines[0] == "n,edges,elapsed_ns,ns_per_edge"
     assert len(lines) == 1 + 3  # one row per repeat
+
+
+@pytest.mark.parametrize("args", [["--m", "2"], ["--l", "8", "--m", "8"], ["--l", "-1"]])
+def test_analyze_bad_l_m_exit_2(tmp_path, capsys, args):
+    path = tmp_path / "pet.txt"
+    run(capsys, "generate", "gp", "5", "2", "--out", str(path))
+    code, out, err = run(capsys, "analyze", str(path), *args)
+    assert code == 2 and out == ""
+    assert len(err.strip().splitlines()) == 1 and "need 0 <= l < m and m >= 3" in err
+
+
+@pytest.mark.parametrize("spec,message", [("5..x", "--n-range"), ("3..3", "parameter error")])
+def test_bench_bad_range_exit_2(capsys, spec, message):
+    code, out, err = run(capsys, "bench", "--family", "i", "--n-range", spec)
+    assert code == 2 and out == ""
+    assert len(err.strip().splitlines()) == 1 and message in err
+
+
+def test_bench_range_must_be_positive_and_ordered():
+    # a start of 0 would never double past the end of the range
+    for spec in ("0..3", "-2..3", "4..2"):
+        with pytest.raises(ValueError):
+            _parse_range(spec)

@@ -182,12 +182,10 @@ def test_fq_cycle_label_parity_remark():
     for g, m in [(FQ4, 4), (FQ4, 6), (FQ5, 4), (FQ5, 5), (FQ5, 6)]:
         cycles = enumerate_cycles(g, m)
         assert cycles, (g.n, m)
-        labels = set(g.edge_roles.values())
+        labels = {a ^ b for a, b in g.edges()}  # dimension, or the diagonal mask
         for cyc in cycles:
             counts = dict.fromkeys(labels, 0)
             for i in range(m):
-                a, b = cyc[i], cyc[(i + 1) % m]
-                e = (a, b) if a < b else (b, a)
-                counts[g.edge_roles[e]] += 1
+                counts[cyc[i] ^ cyc[(i + 1) % m]] += 1
             parities = {c % 2 for c in counts.values()}
             assert len(parities) == 1, (cyc, counts)

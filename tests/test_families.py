@@ -10,6 +10,7 @@ from cyclereg import (
     ParamOutOfRangeError,
     canonical_i_params,
     connected_components,
+    count_cycles,
     dp_even_twin,
     dp_gp_equivalent,
     dp_twin_map,
@@ -21,11 +22,22 @@ from cyclereg import (
     generate_i_graph,
     is_regular,
 )
-from cyclereg.families import INNER, OUTER, SPOKE
 
 
-def _role_edges(g, role):
-    return [e for e in g.edges() if g.edge_roles[e] == role]
+# edge roles read off the id convention: u_i = i, w_i = n + i (I and DP),
+# x_i = 2n + i, y_i = 3n + i (DP); edges come as (a, b) with a < b
+
+
+def _i_spokes(g, n):
+    return [(a, b) for a, b in g.edges() if b - a == n]
+
+
+def _i_outer(g, n):
+    return [(a, b) for a, b in g.edges() if b < n]
+
+
+def _dp_inner(g, n):
+    return [(a, b) for a, b in g.edges() if n <= a < 2 * n and b >= 3 * n]
 
 
 def test_triangular_prism():
@@ -68,11 +80,11 @@ def test_gp_f048a_order():
 def test_i_graph_orbit_structure(n, j, k):
     g = generate_i_graph(IParams(n, j, k))
     assert g.m == 3 * n
-    spokes = _role_edges(g, SPOKE)
+    spokes = _i_spokes(g, n)
     assert len(spokes) == n
     assert len({v for e in spokes for v in e}) == 2 * n  # perfect matching
     # outer edges induce gcd(n,j) cycles of length n/gcd(n,j)
-    outer = _role_edges(g, OUTER)
+    outer = _i_outer(g, n)
     from cyclereg import build_graph, induced_subgraph
 
     deg = {}
@@ -96,7 +108,7 @@ def test_i_params_bounds():
 def test_dp_generator_shape():
     g = generate_dp(DPParams(6, 1))
     assert (g.n, g.m) == (24, 36) and is_regular(g, 3)
-    inner = _role_edges(g, INNER)
+    inner = _dp_inner(g, 6)
     assert len(inner) == 12
 
 
@@ -108,7 +120,7 @@ def test_dp_inner_orbit_structure(n, k):
     from cyclereg import build_graph
 
     g = generate_dp(DPParams(n, k))
-    inner = _role_edges(g, INNER)
+    inner = _dp_inner(g, n)
     sub = build_graph(g.n, inner)
     comps = [c for c in connected_components(sub) if len(c) > 1]
     d = gcd(n, k)
@@ -141,9 +153,8 @@ def test_folded_cube_small_cases():
 def test_folded_cube_fq4_is_k44():
     g = generate_folded_cube(FQParams(4))
     assert (g.n, g.m) == (8, 16)
-    from cyclereg import is_bipartite
-
-    assert is_bipartite(g) and is_regular(g, 4)
+    assert is_regular(g, 4)
+    assert all(count_cycles(g, m) == 0 for m in (3, 5, 7))  # no odd cycle
     # complete bipartite: parity classes of size 4, all cross pairs adjacent
     sides = [[v for v in range(8) if bin(v).count("1") % 2 == p] for p in (0, 1)]
     assert all(g.has_edge(a, b) for a in sides[0] for b in sides[1])
@@ -155,10 +166,11 @@ def test_folded_cube_counts_and_role_incidence(n):
     assert g.n == 2 ** (n - 1)
     assert g.m == n * 2 ** (n - 2)
     assert is_regular(g, n)
-    # each vertex meets exactly one edge of each role
+    # each vertex meets exactly one edge of each role: its dimension a ^ b,
+    # the all-ones mask for the diagonal
     incident = {v: set() for v in range(g.n)}
     for e in g.edges():
-        role = g.edge_roles[e]
+        role = e[0] ^ e[1]
         for v in e:
             assert role not in incident[v]
             incident[v].add(role)

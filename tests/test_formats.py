@@ -4,7 +4,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cyclereg import build_graph, generate_gp
+from cyclereg import formats
 from cyclereg.formats import (
+    MAX_EDGE_LIST_VERTICES,
     ParseError,
     decode_graph6,
     emit_edge_list,
@@ -73,6 +75,15 @@ def test_edge_list_comments_and_errors():
         parse_edge_list("# nothing\n")
     with pytest.raises(ParseError, match="promised"):
         parse_edge_list("3 2\n0 1\n")
+
+
+def test_edge_list_header_vertex_cap(monkeypatch):
+    # the header is refused before any per-vertex allocation
+    monkeypatch.setattr(formats, "build_graph", lambda *a: pytest.fail("build_graph was called"))
+    assert MAX_EDGE_LIST_VERTICES >= 10 * 128_000  # room above I(64000,1,2)
+    for text in ("1000000000 0\n", f"{MAX_EDGE_LIST_VERTICES + 1} 0\n"):
+        with pytest.raises(ParseError, match="header asks for"):
+            parse_edge_list(text)
 
 
 def test_graph6_errors():

@@ -7,20 +7,25 @@ from cyclereg import (
     FQParams,
     IParams,
     SelfLoopError,
-    UNREACHABLE,
     VertexOutOfRangeError,
-    ball,
-    bfs_distances,
+    bfs,
     build_graph,
     connected_components,
+    count_cycles,
     generate_folded_cube,
     generate_gp,
     generate_i_graph,
-    is_bipartite,
+    induced_subgraph,
     is_regular,
 )
 
 PETERSEN = generate_gp(5, 2)
+
+
+def _ball(g, edge, radius):
+    """Induced subgraph on the vertices within `radius` of either endpoint."""
+    u, v = edge
+    return induced_subgraph(g, bfs(g.adj, u, radius).keys() | bfs(g.adj, v, radius).keys())
 
 
 def test_build_triangle():
@@ -65,40 +70,41 @@ def test_components_trivia():
 
 def test_bfs_path_and_unreachable():
     path = build_graph(3, [(0, 1), (1, 2)])
-    assert bfs_distances(path, 0) == [0, 1, 2]
+    assert bfs(path.adj, 0) == {0: 0, 1: 1, 2: 2}
     two_edges = build_graph(4, [(0, 1), (2, 3)])
-    d = bfs_distances(two_edges, 0)
-    assert d[1] == 1 and d[2] is UNREACHABLE and d[3] is UNREACHABLE
+    assert bfs(two_edges.adj, 0) == {0: 0, 1: 1}  # 2 and 3 are unreachable
+
+
+def test_bfs_radius_and_visiting_order():
+    path = build_graph(5, [(0, 1), (1, 2), (2, 3), (3, 4)])
+    assert bfs(path.adj, 2, 1) == {2: 0, 1: 1, 3: 1}
+    assert bfs(path.adj, 0, 0) == {0: 0}
+    d = bfs(PETERSEN.adj, 0)  # keys in the order the search reaches them
+    assert list(d)[:4] == [0, *PETERSEN.adj[0]]
+    assert list(d.values()) == sorted(d.values())
 
 
 def test_petersen_eccentricity_two():
     # brute force over all sources
     for v in range(PETERSEN.n):
-        d = bfs_distances(PETERSEN, v)
-        assert max(d) == 2
+        d = bfs(PETERSEN.adj, v)
+        assert len(d) == 10 and max(d.values()) == 2
 
 
 def test_bipartite():
-    assert is_bipartite(generate_folded_cube(FQParams(4)))
-    assert not is_bipartite(generate_folded_cube(FQParams(5)))
-    assert is_bipartite(build_graph(2, [(0, 1)]))
-
-
-def test_ball_radius_zero_is_the_edge():
-    sub, old = ball(PETERSEN, (0, 1), 0)
-    assert sub.n == 2 and sub.m == 1
-    assert old == [0, 1]
-
-
-def test_ball_radius_two_covers_petersen():
-    sub, old = ball(PETERSEN, (0, 1), 2)
-    assert sub.n == 10 and sub.m == 15
+    # FQ_n is bipartite exactly for even n: FQ_5 has 5-cycles, FQ_4 = K_4,4
+    # has no odd cycle of any length it can hold
+    assert count_cycles(generate_folded_cube(FQParams(5)), 5) > 0
+    fq4 = generate_folded_cube(FQParams(4))
+    assert all(count_cycles(fq4, m) == 0 for m in (3, 5, 7))
 
 
 @pytest.mark.parametrize("gen", [PETERSEN, generate_gp(12, 5), generate_gp(26, 5)])
 def test_cubic_ball_radius_four_order_bound(gen):
+    # what keeps the per-edge 8-cycle count constant-time: the radius-4
+    # ball around an edge of a cubic graph has at most 62 vertices
     for e in list(gen.edges())[:6]:
-        sub, _ = ball(gen, e, 4)
+        sub, _ = _ball(gen, e, 4)
         assert sub.n <= 62
 
 
@@ -126,19 +132,20 @@ def test_adjacency_symmetry_and_sortedness(ne):
 def test_bfs_triangle_inequality(ne, rnd):
     n, edges = ne
     g = build_graph(n, edges)
-    dists = [bfs_distances(g, s) for s in range(n)]
+    dists = [bfs(g.adj, s) for s in range(n)]
+    inf = float("inf")
     for _ in range(20):
         a, b, c = (rnd.randrange(n) for _ in range(3))
-        assert dists[a][b] <= dists[a][c] + dists[c][b]
+        assert dists[a].get(b, inf) <= dists[a].get(c, inf) + dists[c].get(b, inf)
 
 
 def test_octagon_locality_ball_equals_whole_graph():
-    # the 8-cycle count through an edge is determined inside ball(e, 4)
+    # the 8-cycle count through an edge is determined inside the radius-4 ball
     from cyclereg import octagon_value
 
     for g in (PETERSEN, generate_gp(12, 5), generate_i_graph(IParams(11, 2, 4))):
         for e in list(g.edges())[:8]:
-            sub, old = ball(g, e, 4)
+            sub, old = _ball(g, e, 4)
             remap = {o: i for i, o in enumerate(old)}
             inner = octagon_value(sub, (remap[e[0]], remap[e[1]]))
             assert inner == octagon_value(g, e)

@@ -1,3 +1,4 @@
+import dataclasses
 import random
 from math import gcd
 
@@ -11,6 +12,7 @@ from cyclereg import (
     Rejection,
     build_graph,
     canonical_i_params,
+    connected_components,
     determine_diagonals,
     dp_canonical_params,
     exact_i_isomorphism,
@@ -29,13 +31,13 @@ from cyclereg import (
     recognize_i_graph,
     verify_certificate,
 )
-from cyclereg.families import SPOKE
 
 from conftest import random_cubic, shuffled
 
 
 def _spoke_edges(g):
-    return [e for e in g.edges() if g.edge_roles[e] == SPOKE]
+    """Spokes u_i w_i of a generated I-graph: by the id convention w_i = n + i."""
+    return [(a, b) for a, b in g.edges() if b - a == g.n // 2]
 
 
 def _accept(res):
@@ -239,7 +241,7 @@ def test_fq3_any_matching_of_k4():
 
 def test_extend_fq_true_diagonals():
     g = generate_folded_cube(FQParams(6))
-    diag = [e for e in g.edges() if g.edge_roles[e] == "d"]
+    diag = [(a, b) for a, b in g.edges() if a ^ b == g.n - 1]  # complementary ids
     cert = _accept(extend_fq(g, diag))
     assert cert.params == (6,)
 
@@ -300,6 +302,57 @@ def test_verify_certificate_rejects_partial_labeling():
     assert not verify_certificate(
         g, Certificate(cert.family, cert.params, cert.canonical_params, labeling)
     )
+
+
+def test_verify_certificate_rejects_malformed_params():
+    g = generate_gp(5, 2)
+    cert = _accept(recognize_i_graph(g))
+    for family, params in (("k-graph", (5, 1, 2)), ("i-graph", (5, 2)), ("i-graph", (5, 1, 3))):
+        assert not verify_certificate(g, dataclasses.replace(cert, family=family, params=params))
+
+
+def _renamed(cert, old, new):
+    """The certificate with the vertex labeled `old` relabeled `new`."""
+    labeling = {v: new if name == old else name for v, name in cert.labeling.items()}
+    assert labeling != cert.labeling
+    return dataclasses.replace(cert, labeling=labeling)
+
+
+def test_verify_certificate_rejects_names_outside_the_family():
+    # each new name reads as the old one under a lax parse (leading zero,
+    # index mod n, extra or non-binary bit); only the exact name set counts
+    g = generate_gp(5, 2)
+    cert = _accept(recognize_i_graph(g))
+    for old, new in (("u3", "u03"), ("u4", "u-1"), ("w0", "w5"), ("u0", "x0")):
+        assert not verify_certificate(g, _renamed(cert, old, new)), new
+    fq = generate_folded_cube(FQParams(4))
+    cert = _accept(recognize_folded_cube(fq))
+    assert verify_certificate(fq, cert)
+    for old, new in (("000", "0000"), ("100", "10"), ("100", "200")):
+        assert not verify_certificate(fq, _renamed(cert, old, new)), new
+
+
+def test_auto_recognize_computes_one_partition(monkeypatch):
+    import cyclereg.recognition as recognition
+
+    sizes = []
+    partition = recognition.octagon_partition
+
+    def counted(g):
+        sizes.append(g.n)
+        return partition(g)
+
+    monkeypatch.setattr(recognition, "octagon_partition", counted)
+    # an even-n DP member fails as an I-graph first, then passes as DP
+    assert _accept(recognize(shuffled(generate_dp(DPParams(8, 3)), 4))).family == "dp-graph"
+    assert sizes == [32]
+    sizes.clear()
+    # a connected cubic non-member of order 4n reaches both families
+    g = random_cubic(24, random.Random(8))
+    assert len(connected_components(g)) == 1
+    res = recognize(g)
+    assert isinstance(res, Rejection) and sizes == [24]
+    assert res == recognize_i_graph(g)  # the I rejection is the one reported
 
 
 def test_auto_dispatch():
