@@ -21,7 +21,14 @@ from .families import (
     generate_hypercube,
     generate_i_graph,
 )
-from .formats import ParseError, decode_graph6, emit_edge_list, encode_graph6, parse_edge_list
+from .formats import (
+    MAX_EDGE_LIST_VERTICES,
+    ParseError,
+    decode_graph6,
+    emit_edge_list,
+    encode_graph6,
+    parse_edge_list,
+)
 from .graph import LabeledGraph, is_regular
 from .recognition import (
     Certificate,
@@ -59,12 +66,29 @@ def _build(family: str, params: list[int]) -> LabeledGraph:
 _PARAM_COUNT = {"i": 3, "gp": 2, "dp": 2, "fq": 1, "q": 1}
 
 
+def _too_large(family: str, n: int) -> str | None:
+    """A one-line refusal when the member whose first parameter is n has
+    more vertices than the edge-list reader accepts back, else None.
+    Decided from n alone: nothing is built, not even the integer 2^n."""
+    if family in ("fq", "q"):  # 2^(n-1) and 2^n vertices, compared by exponent
+        too_large = n - (family == "fq") >= MAX_EDGE_LIST_VERTICES.bit_length()
+    else:
+        too_large = (4 if family == "dp" else 2) * n > MAX_EDGE_LIST_VERTICES
+    if too_large:
+        return f"family {family!r} with n = {n} has more than {MAX_EDGE_LIST_VERTICES} vertices"
+    return None
+
+
 def cmd_generate(args: argparse.Namespace) -> int:
     if len(args.params) != _PARAM_COUNT[args.family]:
         print(
             f"family {args.family!r} takes {_PARAM_COUNT[args.family]} parameter(s)",
             file=sys.stderr,
         )
+        return 2
+    refusal = _too_large(args.family, args.params[0])
+    if refusal:
+        print(f"parameter error: {refusal}", file=sys.stderr)
         return 2
     try:
         g = _build(args.family, args.params)
@@ -115,7 +139,7 @@ def _describe(cert: Certificate) -> str:
 def cmd_recognize(args: argparse.Namespace) -> int:
     try:
         g = _read_graph(args.input)
-    except (ParseError, OSError) as exc:
+    except (ParseError, OSError, UnicodeDecodeError) as exc:
         print(f"parse error: {exc}", file=sys.stderr)
         return 2
     if args.family == "i":
@@ -139,7 +163,7 @@ def cmd_recognize(args: argparse.Namespace) -> int:
 def cmd_analyze(args: argparse.Namespace) -> int:
     try:
         g = _read_graph(args.input)
-    except (ParseError, OSError) as exc:
+    except (ParseError, OSError, UnicodeDecodeError) as exc:
         print(f"parse error: {exc}", file=sys.stderr)
         return 2
     if args.partition:
@@ -216,13 +240,19 @@ def cmd_bench(args: argparse.Namespace) -> int:
     except ValueError as exc:
         print(f"bad --n-range (expected a..b): {exc}", file=sys.stderr)
         return 2
+    if args.family == "i":
+        sizes = [lo]
+        while 2 * sizes[-1] <= hi:
+            sizes.append(2 * sizes[-1])
+        largest = sizes[-1]
+    else:
+        largest = hi
+    refusal = _too_large(args.family, largest)
+    if refusal:
+        print(f"parameter error: {refusal}", file=sys.stderr)
+        return 2
     try:
         if args.family == "i":
-            sizes = []
-            n = lo
-            while n <= hi:
-                sizes.append(n)
-                n *= 2
             rows = bench_i_recognition(sizes, args.repeats)
         else:
             rows = bench_fq_recognition(list(range(lo, hi + 1)), args.repeats)

@@ -1,8 +1,11 @@
-"""Deterministic generators for I(n,j,k), G(n,k), DP(n,k), Q_n and FQ_n,
-plus the parameter-level isomorphism rules of those families.
+"""I(n,j,k), DP(n,k) and FQ_n, each defined once by `member_edges`; the
+generators of those families and of G(n,k) and Q_n; and the
+parameter-level isomorphism rules of the families.
 
-The generators build bare graphs.  Vertex ids follow one convention, which
-also decides each vertex's family name (`vertex_name`) and each edge's role:
+Recognition replays labelings against `member_edges`, and the 8-cycle
+tables look their pattern edges up in it, so the adjacency of each family
+is written only there.  Vertex ids follow one convention, which also
+decides each vertex's family name (`vertex_name`) and each edge's role:
 
 * I(n,j,k):  u_i = i, w_i = n + i; outer edges join two u's, inner edges
   two w's, and spoke u_i w_i is the edge (a, b) with b - a = n.
@@ -67,7 +70,10 @@ class FQParams:
             raise ParamOutOfRangeError(f"dimension must be >= 1, got {self.n}")
 
 
-def vertex_name(p: IParams | DPParams | FQParams, v: int) -> str:
+Params = IParams | DPParams | FQParams
+
+
+def vertex_name(p: Params, v: int) -> str:
     """Family name of generator vertex `v`: u3/w7 for I(n,j,k), u/w/x/y
     with an index for DP(n,k), and the (n-1)-bit string of v for FQ_n
     ("" for FQ_1).  Q_n names its vertices as FQ_{n+1} does."""
@@ -78,41 +84,53 @@ def vertex_name(p: IParams | DPParams | FQParams, v: int) -> str:
     return "uwxy"[side] + str(idx)
 
 
-def generate_i_graph(p: IParams) -> LabeledGraph:
-    """I(n,j,k): outer edges u_i u_{i+j}, inner w_i w_{i+k}, spokes u_i w_i.
+def member_order(p: Params) -> int:
+    """Vertex count of the member with parameters p: 2n, 4n or 2^(n-1)."""
+    if isinstance(p, IParams):
+        return 2 * p.n
+    if isinstance(p, DPParams):
+        return 4 * p.n
+    return 1 << (p.n - 1)
 
-    2n vertices, 3n edges, cubic; connected iff gcd(n,j,k) == 1 (for d > 1
-    it falls apart into d copies of the smaller I-graph, by design).
+
+def member_edges(p: Params) -> tuple[int, list[Edge]]:
+    """The one definition of each family: the vertex count and the edge list
+    of I(n,j,k), DP(n,k) or FQ_n, on the ids of the module docstring.
+
+    I(n,j,k): outer edges u_i u_{i+j}, inner w_i w_{i+k}, spokes u_i w_i.
+    DP(n,k): rims u_i u_{i+1} and x_i x_{i+1}, spokes u_i w_i and x_i y_i,
+    and the crossed inner edges w_i y_{i+k}, y_i w_{i+k}.
+    FQ_n: Q_{n-1} plus the matching of each id with its bitwise complement;
+    for FQ_2 that diagonal would repeat the lone cube edge, so it is left
+    out.  Every list is simple and holds each edge once.
     """
-    n, j, k = p.n, p.j, p.k
-    edges: list[Edge] = []
-    for i in range(n):
-        edges.append((i, (i + j) % n))
-        edges.append((n + i, n + (i + k) % n))
-        edges.append((i, n + i))
-    return build_graph(2 * n, edges)
-
-
-def generate_gp(n: int, k: int) -> LabeledGraph:
-    """Generalized Petersen graph G(n,k), the I-graph with j = 1."""
-    return generate_i_graph(IParams(n, 1, k))
-
-
-def generate_dp(p: DPParams) -> LabeledGraph:
-    """DP(n,k): two GP-like copies with crossed inner edges w_i y_{i+k}, y_i w_{i+k}."""
-    n, k = p.n, p.k
-    edges: list[Edge] = []
-    u, w, x, y = 0, n, 2 * n, 3 * n
-    for i in range(n):
-        nxt = (i + 1) % n
-        stepped = (i + k) % n
-        edges.append((u + i, u + nxt))
-        edges.append((x + i, x + nxt))
-        edges.append((u + i, w + i))
-        edges.append((x + i, y + i))
-        edges.append((w + i, y + stepped))
-        edges.append((y + i, w + stepped))
-    return build_graph(4 * n, edges)
+    if isinstance(p, IParams):
+        n, j, k = p.n, p.j, p.k
+        edges: list[Edge] = []
+        for i in range(n):
+            edges.append((i, (i + j) % n))
+            edges.append((n + i, n + (i + k) % n))
+            edges.append((i, n + i))
+    elif isinstance(p, DPParams):
+        n, k = p.n, p.k
+        edges = []
+        u, w, x, y = 0, n, 2 * n, 3 * n
+        for i in range(n):
+            nxt = (i + 1) % n
+            stepped = (i + k) % n
+            edges.append((u + i, u + nxt))
+            edges.append((x + i, x + nxt))
+            edges.append((u + i, w + i))
+            edges.append((x + i, y + i))
+            edges.append((w + i, y + stepped))
+            edges.append((y + i, w + stepped))
+    else:
+        width = p.n - 1
+        edges = _cube_edges(width)
+        if width >= 2:
+            mask = (1 << width) - 1
+            edges.extend((v, v ^ mask) for v in range(1 << (width - 1)))
+    return member_order(p), edges
 
 
 def _cube_edges(width: int) -> list[Edge]:
@@ -124,6 +142,23 @@ def _cube_edges(width: int) -> list[Edge]:
     ]
 
 
+def generate_i_graph(p: IParams) -> LabeledGraph:
+    """I(n,j,k): 2n vertices, 3n edges, cubic; connected iff gcd(n,j,k) == 1
+    (for d > 1 it falls apart into d copies of the smaller I-graph, by
+    design)."""
+    return build_graph(*member_edges(p))
+
+
+def generate_gp(n: int, k: int) -> LabeledGraph:
+    """Generalized Petersen graph G(n,k), the I-graph with j = 1."""
+    return generate_i_graph(IParams(n, 1, k))
+
+
+def generate_dp(p: DPParams) -> LabeledGraph:
+    """DP(n,k): two GP-like copies with crossed inner edges."""
+    return build_graph(*member_edges(p))
+
+
 def generate_hypercube(n: int) -> LabeledGraph:
     """Q_n on 2^n vertices; ids differing in exactly one bit are adjacent."""
     if n < 0:
@@ -132,18 +167,9 @@ def generate_hypercube(n: int) -> LabeledGraph:
 
 
 def generate_folded_cube(p: FQParams) -> LabeledGraph:
-    """FQ_n = Q_{n-1} plus the complementary-pair diagonal matching.
-
-    2^(n-1) vertices of degree n for n >= 3.  FQ_1 is K_1 and FQ_2 is K_2
-    (the would-be diagonal of FQ_2 coincides with the lone hypercube edge).
-    """
-    width = p.n - 1
-    size = 1 << width
-    mask = size - 1
-    edges = _cube_edges(width)
-    if width >= 2:
-        edges.extend((v, v ^ mask) for v in range(size // 2))
-    return build_graph(size, edges)
+    """FQ_n: 2^(n-1) vertices of degree n for n >= 3.  FQ_1 is K_1 and FQ_2
+    is K_2."""
+    return build_graph(*member_edges(p))
 
 
 def _fold(x: int, n: int) -> int:

@@ -1,18 +1,20 @@
 """Robust recognizers with verifiable isomorphism certificates.
 
-Every accept path ends in `verify_certificate`, which replays the claimed
-labeling against the family generator edge-for-edge; a recognizer can
-therefore never accept a graph the generator cannot reproduce.  All
-recognizers take arbitrary graphs and reject with a reason otherwise.
-Labelings are built on generator vertex ids and rendered to names by
-`families.vertex_name` alone.
+Every labeling a recognizer builds is a map from input vertices to member
+ids, and it is accepted only when `_replays` carries it edge for edge onto
+the family's one definition (`families.member_edges`); the same replay
+filters the candidate labelings, so a recognizer can never accept a graph
+the definition does not reproduce.  All recognizers take arbitrary graphs
+and reject with a reason otherwise.  Accepted ids are rendered to names by
+`families.vertex_name` alone; `verify_certificate` reads those names back
+in front of the same replay, for certificates from outside.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left
 from collections import Counter, deque
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass
 from math import gcd
 
 from .cycles import octagon_partition
@@ -20,11 +22,11 @@ from .families import (
     DPParams,
     FQParams,
     IParams,
+    Params,
     canonical_i_params,
     dp_canonical_params,
-    generate_dp,
-    generate_folded_cube,
-    generate_i_graph,
+    member_edges,
+    member_order,
     vertex_name,
     _fold,
 )
@@ -32,6 +34,7 @@ from .graph import (
     Edge,
     LabeledGraph,
     bfs,
+    build_graph,
     connected_components,
     induced_subgraph,
     is_regular,
@@ -69,37 +72,56 @@ class Rejection:
 
 
 _PARAMS = {I_GRAPH: IParams, DP_GRAPH: DPParams, FOLDED_CUBE: FQParams}
+_FAMILY = {cls: family for family, cls in _PARAMS.items()}
 
 
-def _generate(p: IParams | DPParams | FQParams) -> LabeledGraph:
+def _replays(g: LabeledGraph, p: Params, phi: dict[int, int]) -> bool:
+    """The one certificate check: phi (input vertex -> member id) is a
+    bijection from g's vertices onto the member's ids, g has as many edges
+    as the member, and phi carries every edge of g to an edge of
+    `member_edges(p)`.  That list holds each edge once, so given the first
+    two, the last is checked from the member's side: every member edge
+    pulls back to an edge of g.  Linear in the size of the graph."""
+    order, edges = member_edges(p)
+    if order != g.n or len(edges) != g.m:
+        return False
+    inv: list[int | None] = [None] * order
+    for v in range(order):
+        x = phi.get(v)
+        if x is None or not 0 <= x < order or inv[x] is not None:
+            return False
+        inv[x] = v
+    adj = g.adj
+    return all(inv[b] in adj[inv[a]] for a, b in edges)
+
+
+def _named(p: Params, phi: dict[int, int]) -> dict[int, str]:
+    return {v: vertex_name(p, i) for v, i in phi.items()}
+
+
+def _certificate(p: Params, labeling: dict[int, str]) -> Certificate:
+    """The certificate of a replayed labeling, with canonical parameters by
+    family."""
     if isinstance(p, IParams):
-        return generate_i_graph(p)
-    if isinstance(p, DPParams):
-        return generate_dp(p)
-    return generate_folded_cube(p)
-
-
-def _ids_by_name(p: IParams | DPParams | FQParams, order: int) -> dict[str, int]:
-    return {vertex_name(p, v): v for v in range(order)}
+        canon = canonical_i_params(p)
+    elif isinstance(p, DPParams):
+        canon = dp_canonical_params(p)
+    else:
+        canon = p
+    return Certificate(_FAMILY[type(p)], astuple(p), astuple(canon), labeling)
 
 
 def verify_certificate(g: LabeledGraph, cert: Certificate) -> bool:
-    """Replay the labeling: read each name back to a generator vertex id
-    through `vertex_name`, then require a bijection onto the generator's
-    vertices that carries every edge of g to an edge.  Linear in the size
-    of the graph."""
+    """Check a certificate from outside: read each name back to a member id
+    through `vertex_name`, then replay the labeling (`_replays`)."""
     try:
         p = _PARAMS[cert.family](*cert.params)
     except (KeyError, TypeError, ValueError):  # unknown family, wrong arity or range
         return False
-    model = _generate(p)
-    if model.n != g.n or model.m != g.m:
+    if member_order(p) != g.n:  # the name table below spans the member's ids
         return False
-    ids = _ids_by_name(p, model.n)
-    phi = [ids.get(cert.labeling.get(v)) for v in range(g.n)]
-    if None in phi or len(set(phi)) != g.n:
-        return False
-    return all(model.has_edge(phi[a], phi[b]) for a, b in g.edges())
+    ids = {vertex_name(p, v): v for v in range(g.n)}
+    return _replays(g, p, {v: ids.get(name) for v, name in cert.labeling.items()})
 
 
 # ---------------------------------------------------------------------------
@@ -269,34 +291,14 @@ def _solve_congruences(constraints: list[tuple[int, int]], n: int) -> tuple[int,
     return r, mod
 
 
-def _i_labeling_consistent(
+def _i_replayed(
     g: LabeledGraph, n: int, j: int, k: int, u_idx: dict[int, int], w_idx: dict[int, int]
-) -> bool:
-    """Direct edge-by-edge check of a full (u,w) labeling against I(n,j,k)."""
-    if len(u_idx) != n or len(w_idx) != n:
-        return False
-    for a, b in g.edges():
-        au, bu = a in u_idx, b in u_idx
-        if au and bu:
-            d = (u_idx[b] - u_idx[a]) % n
-            if d not in (j, n - j):
-                return False
-        elif not au and not bu:
-            d = (w_idx[b] - w_idx[a]) % n
-            if d not in (k, n - k):
-                return False
-        else:
-            ui = u_idx[a] if au else u_idx[b]
-            wi = w_idx[b] if au else w_idx[a]
-            if ui != wi:
-                return False
-    return True
-
-
-def _i_names(p: IParams, u_idx: dict[int, int], w_idx: dict[int, int]) -> dict[int, str]:
-    labeling = {v: vertex_name(p, i) for v, i in u_idx.items()}
-    labeling.update({v: vertex_name(p, p.n + i) for v, i in w_idx.items()})
-    return labeling
+) -> tuple[IParams, dict[int, int]] | None:
+    """The (u,w) index labeling as member ids of I(n,j,k), if it replays."""
+    p = IParams(n, j, k)
+    phi = dict(u_idx)
+    phi.update((v, n + i) for v, i in w_idx.items())
+    return (p, phi) if _replays(g, p, phi) else None
 
 
 def _march_shadow(
@@ -353,7 +355,8 @@ def exact_i_isomorphism(
     alternating 8-cycle through the first rim edge (both choices are
     tried), propagates the induced shadow rim, and pins the inner step by
     solving the positional congruences it forces on the inner cycle through
-    w_0.  Every candidate labeling is checked edge-by-edge before accept.
+    w_0.  Every candidate labeling is replayed against I(n,j,k), and the
+    first one that replays is returned.
     """
     if g.n % 2 or g.n < 6:
         return Rejection("odd-order", f"|V| = {g.n} is not 2n with n >= 3")
@@ -393,7 +396,8 @@ def exact_i_isomorphism(
     for rim in rims:
         res = _i_label_attempt(g, n, j, rim, partner, fnbrs, fadj, cycles, cycle_id)
         if res is not None:
-            return res
+            p, phi = res
+            return p, _named(p, phi)
     return Rejection("labeling-inconsistent")
 
 
@@ -407,7 +411,7 @@ def _i_label_attempt(
     fadj: list[set[int]],
     cycles: list[list[int]],
     cycle_id: dict[int, int],
-) -> tuple[IParams, dict[int, str]] | None:
+) -> tuple[IParams, dict[int, int]] | None:
     l1 = len(rim)
     u_idx = {v: (t * j) % n for t, v in enumerate(rim)}
     w_idx: dict[int, int] = {}
@@ -426,10 +430,7 @@ def _i_label_attempt(
         k = _fold(w_idx[z] - w_idx[w0], n)
         if k < 1 or 2 * k >= n:
             return None
-        if not _i_labeling_consistent(g, n, j, k, u_idx, w_idx):
-            return None
-        p = IParams(n, j, k)
-        return p, _i_names(p, u_idx, w_idx)
+        return _i_replayed(g, n, j, k, u_idx, w_idx)
 
     # several rim cycles: orient via the alternating 8-cycle and march
     u0, uj = rim[0], rim[1]
@@ -492,7 +493,7 @@ def _i_complete(
     cycle_id: dict[int, int],
     u_seed: dict[int, int],
     w_seed: dict[int, int],
-) -> tuple[IParams, dict[int, str]] | None:
+) -> tuple[IParams, dict[int, int]] | None:
     u_idx = dict(u_seed)
     w_idx = dict(w_seed)
     for t in range(len(rim)):
@@ -547,26 +548,13 @@ def _i_complete(
             return None
         u_idx[p] = idx
 
-    if len(u_idx) != n or len(w_idx) != n or set(u_idx) & set(w_idx):
-        return None
-    if not _i_labeling_consistent(g, n, j, k, u_idx, w_idx):
-        return None
-    p = IParams(n, j, k)
-    return p, _i_names(p, u_idx, w_idx)
+    return _i_replayed(g, n, j, k, u_idx, w_idx)
 
 
 def extend_i(g: LabeledGraph, spokes: list[Edge]) -> Certificate | Rejection:
     """Extend a spoke matching to a full I-graph certificate."""
     res = exact_i_isomorphism(g, spokes)
-    if isinstance(res, Rejection):
-        return res
-    params, labeling = res
-    canon = canonical_i_params(params)
-    cert = Certificate(I_GRAPH, (params.n, params.j, params.k),
-                       (canon.n, canon.j, canon.k), labeling)
-    if not verify_certificate(g, cert):
-        return Rejection("labeling-inconsistent", "certificate failed verification")
-    return cert
+    return res if isinstance(res, Rejection) else _certificate(*res)
 
 
 def _constant_branch(
@@ -574,22 +562,15 @@ def _constant_branch(
 ) -> Certificate | Rejection:
     for params in stored:
         p = _PARAMS[family](*params)
-        model = _generate(p)
-        if model.n != g.n or model.m != g.m:
+        order, edges = member_edges(p)
+        if order != g.n or len(edges) != g.m:
             continue
-        iso = find_isomorphism(g, model)
+        iso = find_isomorphism(g, build_graph(order, edges))
         if iso is None:
             continue
-        labeling = {v: vertex_name(p, iso[v]) for v in range(g.n)}
-        if family == I_GRAPH:
-            canon = canonical_i_params(p)
-            canonical = (canon.n, canon.j, canon.k)
-        else:
-            canon_dp = dp_canonical_params(p)
-            canonical = (canon_dp.n, canon_dp.k)
-        cert = Certificate(family, params, canonical, labeling)
-        if verify_certificate(g, cert):
-            return cert
+        phi = {v: iso[v] for v in range(g.n)}  # labeled in vertex order
+        if _replays(g, p, phi):
+            return _certificate(p, _named(p, phi))
     return Rejection("not-isomorphic", "constant 8-cycle count but no stored match")
 
 
@@ -603,20 +584,17 @@ def _merge_i_components(
     cn, cj, ck = canon_set.pop()
     d = len(comps)
     merged = IParams(d * cn, d * cj, d * ck)
-    labeling: dict[int, str] = {}
+    phi: dict[int, int] = {}
     for r, (comp, cert) in enumerate(zip(comps, certs)):
         p = IParams(*cert.params)
-        ids = _ids_by_name(p, len(comp))
+        ids = {vertex_name(p, v): v for v in range(len(comp))}
         transform = _i_canonical_transform(p)
         for local_v, old_v in enumerate(comp):
             side, idx = transform(*divmod(ids[cert.labeling[local_v]], p.n))
-            labeling[old_v] = vertex_name(merged, side * merged.n + r + idx * d)
-    canon = canonical_i_params(merged)
-    cert = Certificate(I_GRAPH, (merged.n, merged.j, merged.k),
-                       (canon.n, canon.j, canon.k), labeling)
-    if not verify_certificate(g, cert):
+            phi[old_v] = side * merged.n + r + idx * d
+    if not _replays(g, merged, phi):
         return Rejection("labeling-inconsistent", "component merge failed verification")
-    return cert
+    return _certificate(merged, _named(merged, phi))
 
 
 def _i_canonical_transform(p: IParams):
@@ -641,23 +619,6 @@ def _i_canonical_transform(p: IParams):
 # DP-graph recognition
 
 
-def _dp_labeling_consistent(g: LabeledGraph, n: int, k: int, ids: dict[int, int]) -> bool:
-    """Direct edge-by-edge check of a full labeling (input vertex -> DP(n,k)
-    generator id) against DP(n,k)."""
-    if len(ids) != g.n:
-        return False
-    # index steps allowed between the sides u, w, x, y = 0, 1, 2, 3
-    steps = {(0, 0): (1, n - 1), (2, 2): (1, n - 1), (0, 1): (0,), (2, 3): (0,),
-             (1, 3): (k, n - k)}
-    for a, b in g.edges():
-        sa, ia = divmod(ids[a], n)
-        sb, ib = divmod(ids[b], n)
-        allowed = steps.get((sa, sb) if sa <= sb else (sb, sa))
-        if allowed is None or (ib - ia) % n not in allowed:
-            return False
-    return True
-
-
 def exact_dp_isomorphism(
     g: LabeledGraph, spokes: list[Edge]
 ) -> tuple[DPParams, dict[int, str]] | Rejection:
@@ -665,8 +626,9 @@ def exact_dp_isomorphism(
 
     Fixes an n-cycle as the u-rim, reaches the second rim through the
     inner cycle at w_0, and reads k off the even-length arc between the
-    two landing points.  All rim choices and arc orientations are tried
-    and the parametrization with the smallest canonical k wins.
+    two landing points.  Every rim choice and arc orientation gives a
+    candidate labeling; the candidates are stable-sorted by canonical k,
+    then by k, and the first one that replays against DP(n,k) wins.
     """
     if g.n % 4 or g.n < 12:
         return Rejection("odd-order", f"|V| = {g.n} is not 4n with n >= 3")
@@ -683,20 +645,20 @@ def exact_dp_isomorphism(
         for v in cyc:
             cycle_id[v] = ci
 
-    # Collect every parametrization the structure admits and keep the one
-    # with the smallest canonical k: DP isomorphisms beyond the even-n twin
-    # pair exist (their full characterization is open), and this makes the
-    # result a deterministic function of the isomorphism class.
-    best: tuple[DPParams, dict[int, str]] | None = None
-    for rim_id, rim in enumerate(cycles):
-        if len(rim) != n:
-            continue
-        for res in _dp_label_attempts(g, n, rim, rim_id, partner, fnbrs, cycles, cycle_id):
-            if best is None or _dp_rank(res[0]) < _dp_rank(best[0]):
-                best = res
-    if best is None:
-        return Rejection("labeling-inconsistent")
-    return best
+    # Prefer the parametrization with the smallest canonical k: DP
+    # isomorphisms beyond the even-n twin pair exist (their full
+    # characterization is open), and this makes the result a deterministic
+    # function of the isomorphism class.
+    candidates = [
+        res
+        for rim_id, rim in enumerate(cycles)
+        if len(rim) == n
+        for res in _dp_label_attempts(n, rim, rim_id, partner, fnbrs, cycles, cycle_id)
+    ]
+    for p, phi in sorted(candidates, key=lambda res: _dp_rank(res[0])):
+        if _replays(g, p, phi):
+            return p, _named(p, phi)
+    return Rejection("labeling-inconsistent")
 
 
 def _dp_rank(p: DPParams) -> tuple[int, int]:
@@ -705,7 +667,6 @@ def _dp_rank(p: DPParams) -> tuple[int, int]:
 
 
 def _dp_label_attempts(
-    g: LabeledGraph,
     n: int,
     rim: list[int],
     rim_id: int,
@@ -714,7 +675,7 @@ def _dp_label_attempts(
     cycles: list[list[int]],
     cycle_id: dict[int, int],
 ):
-    """Yield every valid (params, labeling) with `rim` as the u-rim.
+    """Yield every candidate (params, member ids) with `rim` as the u-rim.
 
     The rim pins the orientation, so both assignments of the two inner
     neighbors of w_0 to y_k / y_{-k} must be tried: each corresponds to
@@ -766,25 +727,14 @@ def _dp_label_attempts(
             idx = (-k + s) % n
             trial[v] = 2 * n + idx  # x_idx
             trial[y] = 3 * n + idx  # y_idx
-        if not ok:
-            continue
-        if not _dp_labeling_consistent(g, n, k, trial):
-            continue
-        p = DPParams(n, k)
-        yield p, {v: vertex_name(p, i) for v, i in trial.items()}
+        if ok:
+            yield DPParams(n, k), trial
 
 
 def extend_dp(g: LabeledGraph, spokes: list[Edge]) -> Certificate | Rejection:
     """Extend a spoke matching to a full DP-graph certificate."""
     res = exact_dp_isomorphism(g, spokes)
-    if isinstance(res, Rejection):
-        return res
-    params, labeling = res
-    canon = dp_canonical_params(params)
-    cert = Certificate(DP_GRAPH, (params.n, params.k), (canon.n, canon.k), labeling)
-    if not verify_certificate(g, cert):
-        return Rejection("labeling-inconsistent", "certificate failed verification")
-    return cert
+    return res if isinstance(res, Rejection) else _certificate(*res)
 
 
 # ---------------------------------------------------------------------------
@@ -899,6 +849,8 @@ def determine_diagonals(
     """
     if g.n < 2 or g.m == 0:
         return Rejection("order", "too small to peel")
+    if not g.adj[0]:
+        return Rejection("disconnected", "vertex 0, the seed, is isolated")
     adj = [set(nb) for nb in g.adj]
     seed = (0, g.adj[0][0])
     deg0 = len(g.adj[0])
@@ -1093,11 +1045,9 @@ def extend_fq(g: LabeledGraph, diagonals: list[Edge]) -> Certificate | Rejection
         if labels[s] ^ labels[t] != mask:
             return Rejection("diagonal-mismatch", "diagonal joins non-complementary labels")
     p = FQParams(n)
-    labeling = {x: vertex_name(p, lbl) for x, lbl in labels.items()}
-    cert = Certificate(FOLDED_CUBE, (n,), (n,), labeling)
-    if not verify_certificate(g, cert):
+    if not _replays(g, p, labels):
         return Rejection("not-isomorphic", "certificate failed verification")
-    return cert
+    return _certificate(p, _named(p, labels))
 
 
 def recognize_folded_cube(g: LabeledGraph) -> Certificate | Rejection:
@@ -1108,9 +1058,10 @@ def recognize_folded_cube(g: LabeledGraph) -> Certificate | Rejection:
         return Rejection("order", "empty graph")
     if size in (1, 2):  # FQ_1 = K_1 and FQ_2 = K_2, labeled by identity
         p = FQParams(size)
-        labeling = {v: vertex_name(p, v) for v in range(size)}
-        cert = Certificate(FOLDED_CUBE, (size,), (size,), labeling)
-        return cert if verify_certificate(g, cert) else Rejection("not-isomorphic")
+        phi = {v: v for v in range(size)}
+        if not _replays(g, p, phi):
+            return Rejection("not-isomorphic")
+        return _certificate(p, _named(p, phi))
     if size & (size - 1):
         return Rejection("order", f"|V| = {size} is not a power of two")
     n = size.bit_length()  # dimension: |V| = 2^(n-1)

@@ -5,7 +5,8 @@ Every 8-cycle class is stored as data: a human-readable existence
 condition, symbolic representative patterns, the per-class contribution to
 the per-orbit 8-cycle triple, and the orbit size under the rotation (plus,
 for DP-graphs, the copy swap).  A class is present only when its
-representative instantiates to eight distinct vertices; the congruence
+representative instantiates to eight distinct vertices joined by edges of
+the member, as `families.member_edges` defines it; the congruence
 conditions alone admit degenerate solutions (the triangular prism satisfies
 a C7 congruence yet has no 8-cycle at all).
 
@@ -19,7 +20,7 @@ from dataclasses import dataclass
 from typing import Callable
 
 from .cycles import OctagonTriple
-from .families import DPParams, IParams
+from .families import DPParams, IParams, member_edges
 
 # index expression: coefficient on j, coefficient on k, constant
 Term = tuple[str, int, int, int]
@@ -207,24 +208,28 @@ I_CYCLE_CLASSES: tuple[CycleClass, ...] = (
 )
 
 
-def _i_edge_ok(n: int, j: int, k: int, a: tuple[str, int], b: tuple[str, int]) -> bool:
-    (sa, ia), (sb, ib) = a, b
-    if sa != sb:
-        return ia == ib
-    d = (ib - ia) % n
-    step = j if sa == "u" else k
-    return d in (step, n - step)
+def _class_multiplicities(
+    p: IParams | DPParams, classes: tuple[CycleClass, ...]
+) -> list[tuple[CycleClass, int]]:
+    """Each class with the number of its variants present in the member: the
+    condition holds, and the pattern instantiates, through the id
+    convention, to eight distinct vertices joined cyclically by edges of
+    `member_edges(p)`."""
+    n, k = p.n, p.k
+    j = p.j if isinstance(p, IParams) else 1  # the DP rims step by 1
+    member = set(member_edges(p)[1])
 
+    def present(var: CycleVariant) -> bool:
+        if not var.holds(n, j, k):
+            return False
+        verts = ["uwxy".index(side) * n + (cj * j + ck * k + c) % n
+                 for side, cj, ck, c in var.pattern]
+        if len(set(verts)) != 8:
+            return False
+        return all((a, b) in member or (b, a) in member
+                   for a, b in zip(verts, verts[1:] + verts[:1]))
 
-def _i_variant_present(n: int, j: int, k: int, var: CycleVariant) -> bool:
-    if not var.holds(n, j, k):
-        return False
-    verts = [(side, (cj * j + ck * k + c) % n) for side, cj, ck, c in var.pattern]
-    if len(set(verts)) != 8:
-        return False
-    return all(
-        _i_edge_ok(n, j, k, verts[i], verts[(i + 1) % 8]) for i in range(8)
-    )
+    return [(c, sum(map(present, c.variants))) for c in classes]
 
 
 def i_graph_cycle_classes(p: IParams) -> list[tuple[CycleClass, int]]:
@@ -234,11 +239,7 @@ def i_graph_cycle_classes(p: IParams) -> list[tuple[CycleClass, int]]:
     multiplicity of 2 means both sign variants of the class occur (this
     happens only for the Moebius-Kantor relatives G(8,2) and G(6,1)).
     """
-    n, j, k = p.n, p.j, p.k
-    return [
-        (c, sum(1 for v in c.variants if _i_variant_present(n, j, k, v)))
-        for c in I_CYCLE_CLASSES
-    ]
+    return _class_multiplicities(p, I_CYCLE_CLASSES)
 
 
 def predict_i_octagon(p: IParams) -> OctagonTriple:
@@ -362,37 +363,10 @@ DP_CYCLE_CLASSES: tuple[CycleClass, ...] = (
 )
 
 
-def _dp_edge_ok(n: int, k: int, a: tuple[str, int], b: tuple[str, int]) -> bool:
-    (sa, ia), (sb, ib) = a, b
-    pair = frozenset((sa, sb))
-    if pair in (frozenset("u"), frozenset("x")):
-        d = (ib - ia) % n
-        return d in (1, n - 1)
-    if pair in (frozenset(("u", "w")), frozenset(("x", "y"))):
-        return ia == ib
-    if pair == frozenset(("w", "y")):
-        d = (ib - ia) % n
-        return d in (k, (n - k) % n)
-    return False
-
-
-def _dp_variant_present(n: int, k: int, var: CycleVariant) -> bool:
-    if not var.holds(n, 1, k):
-        return False
-    verts = [(side, (ck * k + c) % n) for side, _, ck, c in var.pattern]
-    if len(set(verts)) != 8:
-        return False
-    return all(_dp_edge_ok(n, k, verts[i], verts[(i + 1) % 8]) for i in range(8))
-
-
 def dp_cycle_classes(p: DPParams) -> list[tuple[CycleClass, int]]:
     """Each 8-cycle class with its multiplicity in DP(n,k); multiplicity 2
     occurs only for DP(8,2), where both C5 variants hold."""
-    n, k = p.n, p.k
-    return [
-        (c, sum(1 for v in c.variants if _dp_variant_present(n, k, v)))
-        for c in DP_CYCLE_CLASSES
-    ]
+    return _class_multiplicities(p, DP_CYCLE_CLASSES)
 
 
 def predict_dp_octagon(p: DPParams) -> OctagonTriple:

@@ -1,8 +1,8 @@
 import pytest
 
-from cyclereg import generate_gp
-from cyclereg.cli import _parse_range, main
-from cyclereg.formats import decode_graph6, parse_edge_list
+from cyclereg import families, generate_gp
+from cyclereg.cli import _parse_range, _too_large, main
+from cyclereg.formats import MAX_EDGE_LIST_VERTICES, decode_graph6, parse_edge_list
 
 
 def run(capsys, *argv):
@@ -71,6 +71,17 @@ def test_recognize_parse_error_exit_2(tmp_path, capsys):
     path.write_text("3 9\n0 1\n")
     code, _, err = run(capsys, "recognize", str(path))
     assert code == 2 and "parse error" in err
+
+
+@pytest.mark.parametrize("command", ["recognize", "analyze"])
+def test_non_utf8_input_exit_2(tmp_path, capsys, command):
+    # an executable's header, and a UTF-16 byte-order mark
+    for data in (b"\x7fELF\x02\x01\x01\x00" + bytes(range(128, 256)), b"\xff\xfe5 0\n"):
+        path = tmp_path / "binary"
+        path.write_bytes(data)
+        code, out, err = run(capsys, command, str(path))
+        assert code == 2 and out == ""
+        assert len(err.strip().splitlines()) == 1 and "parse error" in err
 
 
 def test_analyze_petersen(tmp_path, capsys):
@@ -150,6 +161,33 @@ def test_bench_single_size_rows(capsys):
     lines = out.strip().splitlines()
     assert lines[0] == "n,edges,elapsed_ns,ns_per_edge"
     assert len(lines) == 1 + 3  # one row per repeat
+
+
+@pytest.mark.parametrize("argv", [
+    ["generate", "q", "40"],
+    ["generate", "fq", "41"],
+    ["generate", "dp", str(MAX_EDGE_LIST_VERTICES // 4 + 1), "1"],
+    ["bench", "--family", "fq", "--n-range", "30..30"],
+    ["bench", "--family", "i", "--n-range", "1..100000000"],
+])
+def test_generate_and_bench_refuse_members_over_the_cap(monkeypatch, capsys, argv):
+    # refused from the parameters, before any edge or adjacency list is made
+    for name in ("member_edges", "_cube_edges", "build_graph"):
+        monkeypatch.setattr(families, name, lambda *a, name=name: pytest.fail(f"{name} was called"))
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and out == ""
+    assert len(err.strip().splitlines()) == 1
+    assert f"more than {MAX_EDGE_LIST_VERTICES} vertices" in err
+
+
+def test_vertex_cap_boundary():
+    # FQ_n has 2^(n-1) vertices, Q_n 2^n, I 2n and DP 4n
+    width = MAX_EDGE_LIST_VERTICES.bit_length() - 1
+    assert MAX_EDGE_LIST_VERTICES == 1 << width
+    for family, n in (("fq", width + 1), ("q", width), ("i", MAX_EDGE_LIST_VERTICES // 2),
+                      ("gp", MAX_EDGE_LIST_VERTICES // 2), ("dp", MAX_EDGE_LIST_VERTICES // 4)):
+        assert _too_large(family, n) is None
+        assert _too_large(family, n + 1) is not None
 
 
 @pytest.mark.parametrize("args", [["--m", "2"], ["--l", "8", "--m", "8"], ["--l", "-1"]])

@@ -200,6 +200,19 @@ def test_dp_round_trip_grid_small():
                 assert find_isomorphism(alt, generate_dp(p)) is not None
 
 
+@pytest.mark.parametrize("n,k,expected", [(6, 2, (6, 1)), (12, 5, (12, 1)),
+                                          (14, 3, (14, 2)), (16, 5, (16, 3))])
+def test_dp_minimum_rank_parametrization_pinned(n, k, expected):
+    # here the first structural candidate is not the one of minimum
+    # canonical k, so the choice among candidates decides the output
+    for seed in (1, 2):
+        g = shuffled(generate_dp(DPParams(n, k)), seed)
+        for recognizer in (recognize_dp, recognize):
+            cert = _accept(recognizer(g))
+            assert cert.family == "dp-graph"
+            assert cert.params == cert.canonical_params == expected
+
+
 def test_dp_rejects_petersen():
     assert isinstance(recognize_dp(shuffled(generate_gp(5, 2), 1)), Rejection)
 
@@ -237,6 +250,11 @@ def test_fq3_any_matching_of_k4():
     g = generate_folded_cube(FQParams(3))
     state = determine_diagonals(g)
     assert len(state.diagonals) == 2
+
+
+def test_determine_diagonals_isolated_seed_vertex():
+    res = determine_diagonals(build_graph(4, [(1, 2), (2, 3), (1, 3)]))
+    assert isinstance(res, Rejection) and res.reason == "disconnected"
 
 
 def test_extend_fq_true_diagonals():
@@ -302,6 +320,10 @@ def test_verify_certificate_rejects_partial_labeling():
     assert not verify_certificate(
         g, Certificate(cert.family, cert.params, cert.canonical_params, labeling)
     )
+    # a name used twice leaves another one, here u0, without a vertex
+    v = next(v for v, name in cert.labeling.items() if name == "u0")
+    labeling = {**cert.labeling, v: cert.labeling[(v + 1) % g.n]}
+    assert not verify_certificate(g, dataclasses.replace(cert, labeling=labeling))
 
 
 def test_verify_certificate_rejects_malformed_params():
@@ -309,6 +331,22 @@ def test_verify_certificate_rejects_malformed_params():
     cert = _accept(recognize_i_graph(g))
     for family, params in (("k-graph", (5, 1, 2)), ("i-graph", (5, 2)), ("i-graph", (5, 1, 3))):
         assert not verify_certificate(g, dataclasses.replace(cert, family=family, params=params))
+
+
+def test_verify_certificate_order_and_size_guards():
+    # the edgeless graph has no edge to replay
+    g = build_graph(2, [])
+    for params, labeling in (((1,), {0: "", 1: ""}), ((2,), {0: "0", 1: "1"})):
+        assert not verify_certificate(g, Certificate("folded-cube", params, params, labeling))
+    # every member edge is there, and one more edge or one more vertex
+    pet = generate_gp(5, 2)
+    cert = _accept(recognize_i_graph(pet))
+    assert not verify_certificate(build_graph(10, [*pet.edges(), (0, 2)]), cert)
+    from cyclereg.recognition import _replays
+
+    identity = {v: v for v in range(pet.n)}
+    assert _replays(pet, IParams(5, 1, 2), identity)
+    assert not _replays(build_graph(11, list(pet.edges())), IParams(5, 1, 2), identity)
 
 
 def _renamed(cert, old, new):
