@@ -160,6 +160,13 @@ def cmd_recognize(args: argparse.Namespace) -> int:
     return 1
 
 
+#: Largest cycle length `analyze` scans.  `regularity_scan` costs grow
+#: exponentially in m: on FQ_6 (32 vertices) with --l 1 the scan takes
+#: about 0.5 s at m = 8 and 10 s at m = 10, and does not finish within
+#: 100 s at m = 12.  The paper's constants need m <= 8.
+MAX_ANALYZE_M = 10
+
+
 def cmd_analyze(args: argparse.Namespace) -> int:
     try:
         g = _read_graph(args.input)
@@ -173,6 +180,10 @@ def cmd_analyze(args: argparse.Namespace) -> int:
         for sigma, edges in sorted(octagon_partition(g).items()):
             print(f"sigma={sigma}: {len(edges)} edges")
         return 0
+    if args.m > MAX_ANALYZE_M:
+        print(f"analyze error: --m {args.m} is above {MAX_ANALYZE_M}, "
+              "the scan's cost grows exponentially in m", file=sys.stderr)
+        return 2
     try:
         report = regularity_scan(g, args.l, args.m)
     except ValueError as exc:

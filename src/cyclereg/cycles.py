@@ -1,8 +1,13 @@
-"""Brute-force cycle-counting oracle and the [l,lambda,m]-regularity scanner.
+"""Brute-force cycle-counting oracle, the octagon partition, and the
+[l,lambda,m]-regularity scanner.
 
-The oracle is deliberately independent of the analytic predictions in
-`tables`: it anchors a seed path and extends it by depth-first search, so
-any agreement between the two is evidence, not tautology.
+The oracle (`count_cycles_through_path`, `octagon_value`) is deliberately
+independent of the analytic predictions in `tables`: it anchors a seed
+path and extends it by depth-first search, so any agreement between the
+two is evidence, not tautology.  The scans use it.  `octagon_partition`,
+which recognition uses, counts the 8-cycles of every edge at once with a
+whole-graph join of 4-edge paths instead; the tests check it against the
+oracle.
 """
 
 from __future__ import annotations
@@ -134,15 +139,59 @@ def octagon_value(g: LabeledGraph, edge: Edge) -> int:
 
 
 def octagon_partition(g: LabeledGraph) -> dict[int, list[Edge]]:
-    """Partition of E(g) by the per-edge 8-cycle count.
+    """Partition of E(g) by the per-edge 8-cycle count, each class in
+    `g.edges()` order.
 
     Only defined for cubic graphs, where the count is a local quantity.
+    The counts come from one whole-graph join (split-path counting; Alon,
+    Yuster and Zwick, Algorithmica 1997), not from `octagon_value`: every
+    8-cycle has one smallest vertex s and one vertex t opposite it, so it
+    is exactly one unordered pair of vertex-disjoint 4-edge halves s..t
+    whose other vertices all exceed s, and each of its 8 edges gains 1.
     """
-    if not all(len(nbrs) == 3 for nbrs in g.adj):
+    adj = g.adj
+    if not all(len(nbrs) == 3 for nbrs in adj):
         raise NotCubicError("octagon partition requires a cubic graph")
+    # cnt[3*u + i] counts for the edge u -> adj[u][i]; an edge's 8-cycle
+    # count is the sum of its two slots
+    cnt = [0] * (3 * g.n)
+    for s in range(g.n):
+        # the halves s-a-b-c-t by their end t: (a, b, c, then the 4 slots)
+        halves: dict[int, list[tuple[int, ...]]] = {}
+        for i, a in enumerate(adj[s]):
+            if a < s:
+                continue
+            for j, b in enumerate(adj[a]):
+                if b <= s:
+                    continue
+                for k, c in enumerate(adj[b]):
+                    if c <= s or c == a:
+                        continue
+                    for l, t in enumerate(adj[c]):
+                        if t > s and t != a and t != b:
+                            halves.setdefault(t, []).append(
+                                (a, b, c, 3 * s + i, 3 * a + j, 3 * b + k, 3 * c + l)
+                            )
+        for bucket in halves.values():
+            h = len(bucket)
+            if h < 2:
+                continue
+            gain = [0] * h
+            for x in range(h - 1):
+                inner = set(bucket[x][:3])
+                for y in range(x + 1, h):
+                    if inner.isdisjoint(bucket[y][:3]):
+                        gain[x] += 1
+                        gain[y] += 1
+            for half, add in zip(bucket, gain):
+                for slot in half[3:]:
+                    cnt[slot] += add
     parts: dict[int, list[Edge]] = {}
-    for e in g.edges():
-        parts.setdefault(octagon_value(g, e), []).append(e)
+    for u, nbrs in enumerate(adj):
+        for i, v in enumerate(nbrs):
+            if u < v:
+                value = cnt[3 * u + i] + cnt[3 * v + adj[v].index(u)]
+                parts.setdefault(value, []).append((u, v))
     return parts
 
 

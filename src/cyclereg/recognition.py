@@ -305,7 +305,6 @@ def _march_shadow(
     rim: list[int],
     partner: list[int],
     fnbrs: list[tuple[int, int]],
-    fadj: list[set[int]],
     cand: tuple[int, int, int, int],
 ) -> tuple[list[int], list[int]] | None:
     """Walk the alternating 8-cycle shape around the whole rim.
@@ -319,7 +318,7 @@ def _march_shadow(
     zs = [z1]
     prev_p, cur_p, cur_z = p1, p2, z2
     for t in range(1, l1):
-        if cur_z not in fadj[partner[rim[t]]]:
+        if cur_z not in fnbrs[partner[rim[t]]]:
             return None
         ps.append(cur_p)
         zs.append(cur_z)
@@ -331,7 +330,7 @@ def _march_shadow(
         else:
             return None
         nxt_z = partner[nxt_p]
-        if nxt_z not in fadj[partner[rim[(t + 1) % l1]]]:
+        if nxt_z not in fnbrs[partner[rim[(t + 1) % l1]]]:
             return None
         prev_p, cur_p, cur_z = cur_p, nxt_p, nxt_z
     if cur_p != ps[0] or cur_z != zs[0]:
@@ -387,14 +386,13 @@ def exact_i_isomorphism(
     if 2 * j >= n:
         return Rejection("cycle-collection-shape", "too many rim cycles")
 
-    fadj = [set(p) for p in fnbrs]
     cycle_id: dict[int, int] = {}
     for ci, cyc in enumerate(cycles):
         for v in cyc:
             cycle_id[v] = ci
 
     for rim in rims:
-        res = _i_label_attempt(g, n, j, rim, partner, fnbrs, fadj, cycles, cycle_id)
+        res = _i_label_attempt(g, n, j, rim, partner, fnbrs, cycles, cycle_id)
         if res is not None:
             p, phi = res
             return p, _named(p, phi)
@@ -408,7 +406,6 @@ def _i_label_attempt(
     rim: list[int],
     partner: list[int],
     fnbrs: list[tuple[int, int]],
-    fadj: list[set[int]],
     cycles: list[list[int]],
     cycle_id: dict[int, int],
 ) -> tuple[IParams, dict[int, int]] | None:
@@ -440,10 +437,10 @@ def _i_label_attempt(
         p1 = partner[z1]
         for p2 in fnbrs[p1]:
             z2 = partner[p2]
-            if wj in fadj[z2] and len({u0, uj, w0, wj, z1, p1, p2, z2}) == 8:
+            if wj in fnbrs[z2] and len({u0, uj, w0, wj, z1, p1, p2, z2}) == 8:
                 candidates.append((z1, p1, p2, z2))
     for cand in candidates:
-        marched = _march_shadow(rim, partner, fnbrs, fadj, cand)
+        marched = _march_shadow(rim, partner, fnbrs, cand)
         if marched is None:
             continue
         ps, zs = marched
@@ -627,8 +624,8 @@ def exact_dp_isomorphism(
     Fixes an n-cycle as the u-rim, reaches the second rim through the
     inner cycle at w_0, and reads k off the even-length arc between the
     two landing points.  Every rim choice and arc orientation gives a
-    candidate labeling; the candidates are stable-sorted by canonical k,
-    then by k, and the first one that replays against DP(n,k) wins.
+    candidate; the candidates are stable-sorted by canonical k, then by k,
+    and the first whose labeling builds and replays against DP(n,k) wins.
     """
     if g.n % 4 or g.n < 12:
         return Rejection("odd-order", f"|V| = {g.n} is not 4n with n >= 3")
@@ -648,15 +645,19 @@ def exact_dp_isomorphism(
     # Prefer the parametrization with the smallest canonical k: DP
     # isomorphisms beyond the even-n twin pair exist (their full
     # characterization is open), and this makes the result a deterministic
-    # function of the isomorphism class.
-    candidates = [
-        res
+    # function of the isomorphism class.  The rank depends only on k, so
+    # each labeling is built only when its turn comes.
+    options = [
+        (DPParams(n, k), rim, cx, start, direction)
         for rim_id, rim in enumerate(cycles)
         if len(rim) == n
-        for res in _dp_label_attempts(n, rim, rim_id, partner, fnbrs, cycles, cycle_id)
+        for k, cx, start, direction in _dp_options(
+            n, rim, rim_id, partner, fnbrs, cycles, cycle_id
+        )
     ]
-    for p, phi in sorted(candidates, key=lambda res: _dp_rank(res[0])):
-        if _replays(g, p, phi):
+    for p, rim, cx, start, direction in sorted(options, key=lambda opt: _dp_rank(opt[0])):
+        phi = _dp_labeling(n, p.k, rim, cx, start, direction, partner)
+        if phi is not None and _replays(g, p, phi):
             return p, _named(p, phi)
     return Rejection("labeling-inconsistent")
 
@@ -666,7 +667,7 @@ def _dp_rank(p: DPParams) -> tuple[int, int]:
     return (canon.k, p.k)
 
 
-def _dp_label_attempts(
+def _dp_options(
     n: int,
     rim: list[int],
     rim_id: int,
@@ -674,32 +675,33 @@ def _dp_label_attempts(
     fnbrs: list[tuple[int, int]],
     cycles: list[list[int]],
     cycle_id: dict[int, int],
-):
-    """Yield every candidate (params, member ids) with `rim` as the u-rim.
+) -> list[tuple[int, list[int], int, int]]:
+    """Every candidate (k, second rim, start, direction) with `rim` as the
+    u-rim.
 
     The rim pins the orientation, so both assignments of the two inner
     neighbors of w_0 to y_k / y_{-k} must be tried: each corresponds to
     walking the even-length arc of the second rim from one of its two
     endpoints (for even n both arcs are even, giving the twin pair).
     """
-    ids: dict[int, int] = {}
-    for t, v in enumerate(rim):
+    on_rim: set[int] = set()
+    for v in rim:
         w = partner[v]
-        if w in ids or v in ids or w == v:
-            return
-        ids[v] = t  # u_t
-        ids[w] = n + t  # w_t
+        if w in on_rim or v in on_rim or w == v:
+            return []
+        on_rim.add(v)
+        on_rim.add(w)
     w0 = partner[rim[0]]
     a, b = fnbrs[w0]
     xa, xb = partner[a], partner[b]
-    if xa == xb or xa in ids or xb in ids or a in ids or b in ids:
-        return
+    if xa == xb or not on_rim.isdisjoint((xa, xb, a, b)):
+        return []
     cx_id = cycle_id.get(xa)
     if cx_id is None or cx_id == rim_id:
-        return
+        return []
     cx = cycles[cx_id]
     if len(cx) != n or cycle_id.get(xb) != cx_id:
-        return
+        return []
     pos = {v: i for i, v in enumerate(cx)}
     pa, pb = pos[xa], pos[xb]
 
@@ -712,23 +714,33 @@ def _dp_label_attempts(
     if arc2 >= 2 and arc2 % 2 == 0:
         options.append((arc2 // 2, pb, -1))
         options.append((arc2 // 2, pa, 1))
+    return [(k, cx, start, d) for k, start, d in options if 2 * k < n]
 
-    for k, start, direction in options:
-        if k < 1 or 2 * k >= n:
-            continue
-        trial = dict(ids)
-        ok = True
-        for s in range(n):
-            v = cx[(start + direction * s) % n]
-            y = partner[v]
-            if v in trial or y in trial or y == v:
-                ok = False
-                break
-            idx = (-k + s) % n
-            trial[v] = 2 * n + idx  # x_idx
-            trial[y] = 3 * n + idx  # y_idx
-        if ok:
-            yield DPParams(n, k), trial
+
+def _dp_labeling(
+    n: int,
+    k: int,
+    rim: list[int],
+    cx: list[int],
+    start: int,
+    direction: int,
+    partner: list[int],
+) -> dict[int, int] | None:
+    """Member ids of one `_dp_options` candidate, or None when the second
+    rim and its spoke partners overlap the labeled vertices."""
+    phi: dict[int, int] = {}
+    for t, v in enumerate(rim):
+        phi[v] = t  # u_t
+        phi[partner[v]] = n + t  # w_t
+    for s in range(n):
+        v = cx[(start + direction * s) % n]
+        y = partner[v]
+        if v in phi or y in phi or y == v:
+            return None
+        idx = (-k + s) % n
+        phi[v] = 2 * n + idx  # x_idx
+        phi[y] = 3 * n + idx  # y_idx
+    return phi
 
 
 def extend_dp(g: LabeledGraph, spokes: list[Edge]) -> Certificate | Rejection:

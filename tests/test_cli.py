@@ -1,7 +1,7 @@
 import pytest
 
-from cyclereg import families, generate_gp
-from cyclereg.cli import _parse_range, _too_large, main
+from cyclereg import cli, families, generate_gp
+from cyclereg.cli import MAX_ANALYZE_M, _parse_range, _too_large, main
 from cyclereg.formats import MAX_EDGE_LIST_VERTICES, decode_graph6, parse_edge_list
 
 
@@ -197,6 +197,18 @@ def test_analyze_bad_l_m_exit_2(tmp_path, capsys, args):
     code, out, err = run(capsys, "analyze", str(path), *args)
     assert code == 2 and out == ""
     assert len(err.strip().splitlines()) == 1 and "need 0 <= l < m and m >= 3" in err
+
+
+@pytest.mark.parametrize("m", [MAX_ANALYZE_M + 1, 10**9])
+def test_analyze_m_above_cap_exit_2(tmp_path, capsys, monkeypatch, m):
+    path = tmp_path / "pet.txt"
+    run(capsys, "generate", "gp", "5", "2", "--out", str(path))
+    assert run(capsys, "analyze", str(path), "--m", str(MAX_ANALYZE_M))[:2] == (0, "regular, lambda=0\n")
+    monkeypatch.setattr(cli, "regularity_scan", lambda *a: pytest.fail("regularity_scan was called"))
+    code, out, err = run(capsys, "analyze", str(path), "--l", "1", "--m", str(m))
+    assert code == 2 and out == ""
+    assert len(err.strip().splitlines()) == 1 and err.startswith("analyze error:")
+    assert MAX_ANALYZE_M >= 8  # the paper's largest cycle length
 
 
 @pytest.mark.parametrize("spec,message", [("5..x", "--n-range"), ("3..3", "parameter error")])

@@ -1,8 +1,11 @@
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cyclereg import (
+    DPParams,
     FQParams,
     IParams,
     NotCubicError,
@@ -10,6 +13,7 @@ from cyclereg import (
     build_graph,
     count_cycles,
     count_cycles_through_path,
+    generate_dp,
     generate_folded_cube,
     generate_gp,
     generate_i_graph,
@@ -18,7 +22,7 @@ from cyclereg import (
     regularity_scan,
 )
 
-from conftest import enumerate_cycles
+from conftest import enumerate_cycles, random_cubic
 
 PETERSEN = generate_gp(5, 2)
 FQ4 = generate_folded_cube(FQParams(4))
@@ -169,6 +173,33 @@ def test_octagon_partition_prism():
 def test_octagon_partition_g61_not_constant():
     parts = octagon_partition(generate_gp(6, 1))
     assert len(parts) >= 2
+
+
+def _oracle_partition(g):
+    parts = {}
+    for e in g.edges():
+        parts.setdefault(octagon_value(g, e), []).append(e)
+    return parts
+
+
+def _check_join_against_oracle(g):
+    # same classes, same edge order within each class, same class order
+    assert list(octagon_partition(g).items()) == list(_oracle_partition(g).items())
+
+
+def test_octagon_partition_matches_oracle_on_i_and_dp_grids():
+    grid = [generate_i_graph(IParams(n, j, k))
+            for n in range(3, 21) for j in range(1, (n + 1) // 2) for k in range(j, (n + 1) // 2)]
+    grid += [generate_dp(DPParams(n, k)) for n in range(3, 21) for k in range(1, (n + 1) // 2)]
+    assert len(grid) == 420
+    for g in grid:
+        _check_join_against_oracle(g)
+
+
+@given(st.integers(2, 59), st.integers(0, 2**32))
+@settings(max_examples=100, deadline=None)
+def test_octagon_partition_matches_oracle_on_random_cubic(half, seed):
+    _check_join_against_oracle(random_cubic(2 * half, random.Random(seed)))
 
 
 def test_octagon_partition_requires_cubic():
