@@ -199,7 +199,19 @@ def cmd_analyze(args: argparse.Namespace) -> int:
     return 0
 
 
+#: Largest dimension the FQ table scans (fq4, fq6, fq26, fq8conj) reach.
+#: They count cycles in FQ_n by brute force, at a cost that grows faster
+#: than the 2^(n-1) vertices: on a 2-core VM the fq8conj check takes about
+#: 20 s at FQ_9 alone, and fq26 10 s at FQ_11, 3.5 times its FQ_10 time.
+MAX_FQ_TABLE_N = 9
+
+
 def cmd_verify_tables(args: argparse.Namespace) -> int:
+    if args.table.startswith("fq") and args.max_n > MAX_FQ_TABLE_N:
+        print(f"verify-tables error: --max-n {args.max_n} is above {MAX_FQ_TABLE_N} "
+              f"for table {args.table}, the scan's cost grows exponentially in n",
+              file=sys.stderr)
+        return 2
     ok = True
     if args.table == "5":
         expected = {p: v for p, v in CYCLE_REGULAR_I.items() if p[0] <= args.max_n}

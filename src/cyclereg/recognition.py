@@ -12,8 +12,7 @@ in front of the same replay, for certificates from outside.
 
 from __future__ import annotations
 
-from bisect import bisect_left
-from collections import Counter, deque
+from collections import Counter
 from dataclasses import astuple, dataclass
 from math import gcd
 
@@ -867,6 +866,7 @@ def determine_diagonals(
     seed = (0, g.adj[0][0])
     deg0 = len(g.adj[0])
     buckets: dict[int, dict[Edge, None]] = {deg0: {seed: None}}
+    bucket_of: dict[Edge, int] = {seed: deg0}  # the one bucket holding each edge
     finished: dict[Edge, None] = {}
     pivots = 0
     max_pivots = 2 * g.m + 16
@@ -884,6 +884,7 @@ def determine_diagonals(
         i = min(live)
         uv = next(iter(buckets[i]))
         del buckets[i][uv]
+        del bucket_of[uv]
         finished[uv] = None
         pivots += 1
         if pivots > max_pivots:
@@ -906,27 +907,68 @@ def determine_diagonals(
                             "peeling-stuck", f"diagonal endpoints at degrees {da} != {db}"
                         )
                     ab = (a, b) if a < b else (b, a)
-                    for bucket in buckets.values():
-                        bucket.pop(ab, None)
+                    old = bucket_of.pop(ab, None)
+                    if old is not None:
+                        del buckets[old][ab]
                     if ab in finished:
                         del finished[ab]
                     if da <= 1:
                         finished[ab] = None
                     else:
                         buckets.setdefault(da, {})[ab] = None
+                        bucket_of[ab] = da
                     break
     return DiagonalState(sorted(finished), pivots)
+
+
+def _cube_labels(hadj: list[list[int]], layer: dict[int, int]) -> dict[int, int] | None:
+    """The hypercube labeling of hadj from its BFS layers out of vertex 0,
+    or None when hadj is not a hypercube.
+
+    Vertex 0 gets label 0 and its neighbours, in ascending id order, the
+    bits size/2, size/4, ..., 1.  Every vertex further out gets the OR of
+    the labels of its neighbours one layer closer to 0: in Q_w these are
+    its own label with one set bit cleared, once for each set bit.  When
+    hadj has Q_w's edge count, it is a hypercube exactly when the labels
+    are a bijection onto 0..size-1 under which every edge flips one bit;
+    that bijection is then an isomorphism onto Q_w, and the only one that
+    sends vertex 0 and its neighbours where the first step does.
+    """
+    size = len(hadj)
+    labels = dict.fromkeys(layer, 0)  # in BFS order, so layer by layer
+    for i, y in enumerate(hadj[0], 1):
+        labels[y] = size >> i
+    for x, d in layer.items():
+        if d >= 2:  # the layer below is labeled; the layer above still reads 0
+            lbl = 0
+            for y in hadj[x]:
+                lbl |= labels[y]
+            labels[x] = lbl
+    seen = bytearray(size)  # the labels lie in 0..size-1
+    for lbl in labels.values():
+        seen[lbl] = 1
+    if 0 in seen:  # a vertex unreached, or two vertices with one label
+        return None
+    for x, nb in enumerate(hadj):
+        lx = labels[x]
+        for y in nb:
+            z = lx ^ labels[y]
+            if z & (z - 1):
+                return None
+    return labels
 
 
 def extend_fq(g: LabeledGraph, diagonals: list[Edge]) -> Certificate | Rejection:
     """Check that g minus the diagonals is a hypercube whose antipodes are
     exactly the diagonal pairs, and produce the bit labeling.
 
-    The hypercube part is labeled by the recursive halving scheme: split on
-    the sets of vertices closer to one endpoint of an arbitrary edge than
-    the other, require the cross edges to be a matching that maps one half
-    isomorphically onto the other, label one half recursively, and copy
-    labels across the matching with the new bit set.
+    The hypercube part is labeled in one pass over its BFS layers from
+    vertex 0 (`_cube_labels`).  The labeling is the one recursive halving
+    gives when it splits first along the edge from 0 to its smallest
+    neighbour, so a part without it is rejected as a failed split.
+    Bipartiteness is checked only then, to name the reason: an edge that
+    flips one bit joins labels of opposite parity, so a part that labels
+    is bipartite.
     """
     size = g.n
     if size < 4 or size & (size - 1):
@@ -938,120 +980,19 @@ def extend_fq(g: LabeledGraph, diagonals: list[Edge]) -> Certificate | Rejection
         return Rejection("split-not-matching", "diagonals are not a perfect matching")
 
     hadj: list[list[int]] = [
-        [w for w in g.adj[v] if w != partner[v]] for v in range(size)
+        [w for w in nb if w != pv] for nb, pv in zip(g.adj, partner)
     ]
     if sum(len(nb) for nb in hadj) != width * size:
         return Rejection("edge-count", "hypercube part has the wrong number of edges")
 
-    # bipartite iff no edge joins two BFS layers of the same parity
     layer = bfs(hadj, 0)
-    for x, lx in layer.items():
-        for y in hadj[x]:
-            if (layer[y] - lx) % 2 == 0:
-                return Rejection("not-bipartite", "hypercube part is not bipartite")
-
-    member = [0] * size  # stamp of the split currently containing the vertex
-    stamp = 0
-
-    def bfs_inside(src: int) -> dict[int, int]:
-        dist = {src: 0}
-        queue = deque([src])
-        while queue:
-            x = queue.popleft()
-            d = dist[x] + 1
-            for y in hadj[x]:
-                if member[y] == stamp and y not in dist:
-                    dist[y] = d
-                    queue.append(y)
-        return dist
-
-    def split(verts: list[int]) -> dict[int, int] | None:
-        nonlocal stamp
-        if len(verts) == 1:
-            return {verts[0]: 0}
-        stamp += 1
-        st = stamp
-        for x in verts:
-            member[x] = st
-        u = verts[0]
-        inside = [y for y in hadj[u] if member[y] == st]
-        if not inside:
-            return None
-        v = min(inside)
-        du = bfs_inside(u)
-        dv = bfs_inside(v)
-        half = len(verts) // 2
-        w_u: list[int] = []
-        in_wu: set[int] = set()
-        w_v_count = 0
-        for x in verts:
-            a = du.get(x)
-            b = dv.get(x)
-            if a is None or b is None or a == b:
-                return None
-            if a < b:
-                w_u.append(x)
-                in_wu.add(x)
-            else:
-                w_v_count += 1
-        if len(w_u) != half or w_v_count != half:
-            return None
-
-        matched: dict[int, int] = {}
-        covered: set[int] = set()
-        inner_u = 0
-        for x in w_u:
-            cross = None
-            for y in hadj[x]:
-                if member[y] != st:
-                    continue
-                if y in in_wu:
-                    inner_u += 1
-                elif cross is None:
-                    cross = y
-                else:
-                    return None  # two cross edges at x: not a matching
-            if cross is None or cross in covered:
-                return None
-            matched[x] = cross
-            covered.add(cross)
-        inner_u //= 2
-
-        # the matching must carry inner edges of one half onto the other
-        inner_v = 0
-        for x in w_u:
-            mx = matched[x]
-            for y in hadj[mx]:
-                if member[y] == st and y not in in_wu and y != mx:
-                    inner_v += 1
-        inner_v //= 2
-        if inner_v != inner_u:
-            return None
-        for x in w_u:
-            mx = matched[x]
-            for y in hadj[x]:
-                if y in in_wu and x < y:
-                    my = matched[y]
-                    lo, hi = (mx, my) if mx < my else (my, mx)
-                    nbrs = hadj[lo]
-                    i = bisect_left(nbrs, hi)
-                    if i >= len(nbrs) or nbrs[i] != hi:
-                        return None
-
-        rec = split(w_u)
-        if rec is None:
-            return None
-        bit = half
-        out: dict[int, int] = {}
-        for x in w_u:
-            lbl = rec[x]
-            out[x] = lbl
-            out[matched[x]] = lbl | bit
-        return out
-
-    labels = split(list(range(size)))
+    labels = _cube_labels(hadj, layer)
     if labels is None:
+        # bipartite iff no edge joins two BFS layers of the same parity
+        if any((layer[y] - lx) % 2 == 0 for x, lx in layer.items() for y in hadj[x]):
+            return Rejection("not-bipartite", "hypercube part is not bipartite")
         return Rejection("split-not-matching", "recursive hypercube split failed")
+    del hadj, layer  # before the replay builds the member's edge list
     mask = size - 1
     for s, t in diagonals:
         if labels[s] ^ labels[t] != mask:

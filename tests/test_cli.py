@@ -1,7 +1,7 @@
 import pytest
 
 from cyclereg import cli, families, generate_gp
-from cyclereg.cli import MAX_ANALYZE_M, _parse_range, _too_large, main
+from cyclereg.cli import MAX_ANALYZE_M, MAX_FQ_TABLE_N, _parse_range, _too_large, main
 from cyclereg.formats import MAX_EDGE_LIST_VERTICES, decode_graph6, parse_edge_list
 
 
@@ -152,6 +152,26 @@ def test_verify_tables_fq8conj_reports_verdicts(capsys):
     assert code == 1
     assert "FQ_4 [1,lambda,8]: conjectured=36 oracle=36 -> confirmed" in out
     assert "FQ_5 [1,lambda,8]: conjectured=996 oracle=672 -> refuted" in out
+
+
+@pytest.mark.parametrize("table", ["fq4", "fq6", "fq26", "fq8conj"])
+@pytest.mark.parametrize("max_n", [["--max-n", str(MAX_FQ_TABLE_N + 1)], []])  # []: the default
+def test_verify_tables_fq_above_cap_exit_2(monkeypatch, capsys, table, max_n):
+    for name in ("check_fq_formula", "check_fq_eight_cycle_conjecture"):
+        monkeypatch.setattr(cli, name, lambda *a, name=name, **k: pytest.fail(f"{name} was called"))
+    code, out, err = run(capsys, "verify-tables", "--table", table, *max_n)
+    assert code == 2 and out == ""
+    assert len(err.strip().splitlines()) == 1 and err.startswith("verify-tables error:")
+
+
+@pytest.mark.parametrize("table,first", [("fq4", 3), ("fq6", 3), ("fq26", 3), ("fq8conj", 4)])
+def test_verify_tables_fq_at_cap_runs(monkeypatch, capsys, table, first):
+    dims = []
+    monkeypatch.setattr(cli, "check_fq_formula", lambda l, m, d, published: dims.append(d) or [])
+    monkeypatch.setattr(cli, "check_fq_eight_cycle_conjecture", lambda d: dims.append(d) or [])
+    code, out, err = run(capsys, "verify-tables", "--table", table, "--max-n", str(MAX_FQ_TABLE_N))
+    assert (code, out, err) == (0, "", "")
+    assert dims == [list(range(first, MAX_FQ_TABLE_N + 1))]
 
 
 def test_bench_single_size_rows(capsys):

@@ -30,9 +30,10 @@ from cyclereg import (
     recognize_folded_cube,
     recognize_i_graph,
     verify_certificate,
+    vertex_name,
 )
 
-from conftest import random_cubic, shuffled
+from conftest import enumerate_cycles, random_cubic, shuffled
 
 
 def _spoke_edges(g):
@@ -270,6 +271,91 @@ def test_extend_fq_bad_matching_rejected():
     g = build_graph(8, list(q3.edges()) + bad)
     res = extend_fq(g, bad)
     assert isinstance(res, Rejection) and res.reason == "diagonal-mismatch"
+
+
+@pytest.mark.parametrize("n", list(range(3, 11)))
+def test_fq_labeling_pinned_at_vertex_0_and_its_neighbours(n):
+    # the hypercube labeling is fixed by vertex 0 (all zeros) and by its
+    # hypercube neighbours in ascending id order (bits size/2, size/4, ...)
+    p = FQParams(n)
+    g = shuffled(generate_folded_cube(p), 100 + n)
+    state = determine_diagonals(g)
+    cert = _accept(recognize_folded_cube(g))
+    assert cert == extend_fq(g, state.diagonals)
+    assert verify_certificate(g, cert)
+    size = g.n
+    partner = {v: u for a, b in state.diagonals for u, v in ((a, b), (b, a))}
+    cube_nbrs = [y for y in g.adj[0] if y != partner[0]]
+    assert cube_nbrs == sorted(cube_nbrs) and len(cube_nbrs) == n - 1
+    assert cert.labeling[0] == "0" * (n - 1)
+    for i, y in enumerate(cube_nbrs):
+        assert cert.labeling[y] == vertex_name(p, size >> (i + 1))
+
+
+def _with_antipodes(size, cube_edges, seed=None):
+    """The graph of `cube_edges` plus the antipodal matching v ~ v ^ (size-1),
+    under a random relabeling unless `seed` is None, and the matching."""
+    perm = list(range(size))
+    if seed is not None:
+        random.Random(seed).shuffle(perm)
+    diag = [(v, v ^ (size - 1)) for v in range(size // 2)]
+    g = build_graph(size, [(perm[a], perm[b]) for a, b in cube_edges + diag])
+    return g, sorted(tuple(sorted((perm[a], perm[b]))) for a, b in diag)
+
+
+@pytest.mark.parametrize("w", [4, 5, 6, 7])
+@pytest.mark.parametrize("seed", [None, 1])  # None: vertex 0 sits on the switch
+def test_extend_fq_rejects_two_switched_bipartite_hypercube(w, seed):
+    # 2-switch (0,1),(6,7) -> (0,7),(1,6) in Q_w: both new edges join an
+    # even and an odd vertex, so the part stays w-regular and bipartite
+    # and keeps Q_w's edge count, but it loses 4-cycles and is no hypercube
+    q = generate_hypercube(w)
+    edges = sorted(set(q.edges()) - {(0, 1), (6, 7)} | {(0, 7), (1, 6)})
+    part = build_graph(q.n, edges)
+    assert is_regular(part, w) and part.m == q.m
+    assert all(bin(a).count("1") % 2 != bin(b).count("1") % 2 for a, b in edges)
+    assert len(enumerate_cycles(part, 4)) < len(enumerate_cycles(q, 4))
+    g, diag = _with_antipodes(q.n, edges, seed)
+    assert extend_fq(g, diag) == Rejection("split-not-matching",
+                                           "recursive hypercube split failed")
+
+
+@pytest.mark.parametrize("w", [4, 5])
+def test_extend_fq_rejects_non_bipartite_part(w):
+    # 2-switch (0,1),(6,7) -> (0,6),(1,7): the triangle 0-2-6 appears
+    q = generate_hypercube(w)
+    edges = sorted(set(q.edges()) - {(0, 1), (6, 7)} | {(0, 6), (1, 7)})
+    g, diag = _with_antipodes(q.n, edges, w)
+    assert extend_fq(g, diag) == Rejection("not-bipartite", "hypercube part is not bipartite")
+
+
+@pytest.mark.parametrize("w", [3, 4, 5, 6])
+@pytest.mark.parametrize("seed", [None, 2])
+def test_extend_fq_rejects_part_whose_labels_are_a_bijection(w, seed):
+    # Q_w with its top vertex moved from the w vertices below it to the w
+    # unit vertices: same edge count, bipartite, and the labels are still a
+    # bijection (the top is the OR of the units), but the top's edges flip
+    # w - 1 bits; unrelabeled, only the one-bit check can reject it
+    size = 1 << w
+    top = size - 1
+    cube = generate_hypercube(w).edges()
+    edges = [e for e in cube if top not in e] + [(1 << b, top) for b in range(w)]
+    g, diag = _with_antipodes(size, edges, seed)
+    assert extend_fq(g, diag) == Rejection("split-not-matching",
+                                           "recursive hypercube split failed")
+
+
+@pytest.mark.parametrize("w", [4, 5, 6])
+def test_extend_fq_rejects_disconnected_bipartite_part(w):
+    # two copies of a w-regular bipartite circulant on 2^(w-1) vertices:
+    # Q_w's order, degree and edge count, bipartite, but disconnected
+    half = 1 << (w - 1)
+    m = half // 2
+    one = [(i, m + (i + j) % m) for i in range(m) for j in range(w)]
+    edges = one + [(a + half, b + half) for a, b in one]
+    g, diag = _with_antipodes(2 * half, edges, w)
+    assert extend_fq(g, diag) == Rejection("split-not-matching",
+                                           "recursive hypercube split failed")
 
 
 def test_fq_rejects_non_fq_circulant():
