@@ -17,13 +17,10 @@ from .families import (
     DPParams,
     FQParams,
     IParams,
-    OddNError,
     ParamOutOfRangeError,
     canonical_i_params,
     dp_canonical_params,
     dp_even_twin,
-    dp_gp_equivalent,
-    dp_twin_map,
     generate_dp,
     generate_folded_cube,
     generate_gp,
@@ -74,7 +71,6 @@ from .tables import (
     UnsupportedPatternError,
     dp_cycle_classes,
     fq_lambda,
-    gamma_value,
     i_graph_cycle_classes,
     predict_dp_octagon,
     predict_i_octagon,

@@ -38,8 +38,6 @@ from .recognition import (
     recognize_i_graph,
 )
 from .scans import (
-    CYCLE_REGULAR_DP,
-    CYCLE_REGULAR_I,
     bench_fq_recognition,
     bench_i_recognition,
     check_fq_eight_cycle_conjecture,
@@ -47,6 +45,7 @@ from .scans import (
     scan_cycle_regular_dp,
     scan_cycle_regular_i,
 )
+from .tables import CYCLE_REGULAR_DP, CYCLE_REGULAR_I
 
 
 def _build(family: str, params: list[int]) -> LabeledGraph:
@@ -213,23 +212,19 @@ def cmd_verify_tables(args: argparse.Namespace) -> int:
               file=sys.stderr)
         return 2
     ok = True
-    if args.table == "5":
-        expected = {p: v for p, v in CYCLE_REGULAR_I.items() if p[0] <= args.max_n}
-        found = scan_cycle_regular_i(args.max_n)
+    if args.table in ("5", "8"):
+        label, published, scan = {
+            "5": ("I", CYCLE_REGULAR_I, scan_cycle_regular_i),
+            "8": ("DP", CYCLE_REGULAR_DP, scan_cycle_regular_dp),
+        }[args.table]
+        expected = {p: v for p, v in published.items() if p[0] <= args.max_n}
+        found = scan(args.max_n)
         for p in sorted(set(expected) | set(found)):
             if expected.get(p) != found.get(p):
                 ok = False
-                print(f"DISCREPANCY at I{p}: expected {expected.get(p)}, found {found.get(p)}")
-        print(f"[1,lambda,8]-cycle regular I-graphs with n <= {args.max_n}: "
-              f"{len(found)} found, {len(expected)} expected")
-    elif args.table == "8":
-        expected = {p: v for p, v in CYCLE_REGULAR_DP.items() if p[0] <= args.max_n}
-        found = scan_cycle_regular_dp(args.max_n)
-        for p in sorted(set(expected) | set(found)):
-            if expected.get(p) != found.get(p):
-                ok = False
-                print(f"DISCREPANCY at DP{p}: expected {expected.get(p)}, found {found.get(p)}")
-        print(f"[1,lambda,8]-cycle regular DP-graphs with n <= {args.max_n}: "
+                print(f"DISCREPANCY at {label}{p}: expected {expected.get(p)}, "
+                      f"found {found.get(p)}")
+        print(f"[1,lambda,8]-cycle regular {label}-graphs with n <= {args.max_n}: "
               f"{len(found)} found, {len(expected)} expected")
     elif args.table in ("fq4", "fq6", "fq26"):
         l, m = {"fq4": (1, 4), "fq6": (1, 6), "fq26": (2, 6)}[args.table]

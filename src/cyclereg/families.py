@@ -27,10 +27,6 @@ class ParamOutOfRangeError(ValueError):
     pass
 
 
-class OddNError(ValueError):
-    pass
-
-
 @dataclass(frozen=True, order=True)
 class IParams:
     n: int
@@ -203,23 +199,6 @@ def dp_even_twin(p: DPParams) -> DPParams | None:
     return DPParams(p.n, p.n // 2 - p.k)
 
 
-def dp_twin_map(p: DPParams) -> dict[int, int]:
-    """The explicit vertex bijection DP(n,k) -> DP(n, n/2 - k) for even n:
-    u_i -> u_i, w_i -> w_i, x_i -> x_{i+n/2}, y_i -> y_{i+n/2}.
-    """
-    n = p.n
-    if n % 2 != 0:
-        raise OddNError(f"n must be even, got {n}")
-    half = n // 2
-    mapping: dict[int, int] = {}
-    for i in range(n):
-        mapping[i] = i
-        mapping[n + i] = n + i
-        mapping[2 * n + i] = 2 * n + (i + half) % n
-        mapping[3 * n + i] = 3 * n + (i + half) % n
-    return mapping
-
-
 def dp_canonical_params(p: DPParams) -> DPParams:
     """Representative with the smaller k of the even-n twin pair."""
     twin = dp_even_twin(p)
@@ -227,16 +206,3 @@ def dp_canonical_params(p: DPParams) -> DPParams:
         return twin
     return p
 
-
-def dp_gp_equivalent(p: DPParams) -> tuple[int, int] | None:
-    """GP parameters (2n, k') isomorphic to DP(n,k), when they exist.
-
-    Requires odd n and gcd(n,k) = 1; k' is the unique even solution of
-    k*k' = +-1 (mod n) in (0, n).
-    """
-    n, k = p.n, p.k
-    if n % 2 == 0 or gcd(n, k) != 1:
-        return None
-    inv = pow(k, -1, n)
-    kp = inv if inv % 2 == 0 else n - inv
-    return (2 * n, kp)

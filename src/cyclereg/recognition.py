@@ -38,19 +38,11 @@ from .graph import (
     induced_subgraph,
     is_regular,
 )
+from .tables import CYCLE_REGULAR_DP, CYCLE_REGULAR_I
 
 I_GRAPH = "i-graph"
 DP_GRAPH = "dp-graph"
 FOLDED_CUBE = "folded-cube"
-
-#: The ten I-graphs with a constant per-edge 8-cycle count, by parameters.
-I_CONSTANT_OCTAGON: tuple[tuple[int, int, int], ...] = (
-    (3, 1, 1), (4, 1, 1), (5, 1, 2), (8, 1, 3), (10, 1, 2),
-    (10, 1, 3), (12, 1, 5), (13, 1, 5), (24, 1, 5), (26, 1, 5),
-)
-
-#: The two DP-graphs with a constant per-edge 8-cycle count.
-DP_CONSTANT_OCTAGON: tuple[tuple[int, int], ...] = ((5, 2), (10, 2))
 
 
 @dataclass(frozen=True)
@@ -117,7 +109,11 @@ def verify_certificate(g: LabeledGraph, cert: Certificate) -> bool:
         p = _PARAMS[cert.family](*cert.params)
     except (KeyError, TypeError, ValueError):  # unknown family, wrong arity or range
         return False
-    if member_order(p) != g.n:  # the name table below spans the member's ids
+    # the name table below spans the member's ids; a folded cube's order
+    # 2^(n-1) is compared by exponent first, so a huge n builds no integer
+    if isinstance(p, FQParams) and p.n > g.n.bit_length():
+        return False
+    if member_order(p) != g.n:
         return False
     ids = {vertex_name(p, v): v for v in range(g.n)}
     return _replays(g, p, {v: ids.get(name) for v, name in cert.labeling.items()})
@@ -130,15 +126,20 @@ def verify_certificate(g: LabeledGraph, cert: Certificate) -> bool:
 def find_isomorphism(g1: LabeledGraph, g2: LabeledGraph) -> dict[int, int] | None:
     """Explicit isomorphism between two small graphs, or None.
 
-    Distance-profile refinement plus backtracking; meant for the bounded
-    lookups against stored special graphs (at most 52 vertices), where the
-    instance size is a constant.
+    Meant for the bounded lookups against the stored constant-octagon
+    members (at most 52 vertices).  Vertices are bucketed by distance
+    profile, whose count at distance 1 is the degree.  Depth first, each
+    vertex v of g1, in BFS order from the rarest profiles, goes to a w of
+    its profile: a neighbour of the image of v's first placed neighbour,
+    else any of the bucket, in ascending order.  w is taken when v's placed
+    neighbours map to neighbours of w and no other used vertex is adjacent
+    to w, which keeps adjacency to the placed vertices both ways in
+    O(degree).
     """
     n = g1.n
     if n != g2.n or g1.m != g2.m:
         return None
-    if sorted(map(len, g1.adj)) != sorted(map(len, g2.adj)):
-        return None
+
     def distance_profiles(g: LabeledGraph) -> list[tuple]:
         return [tuple(sorted(Counter(bfs(g.adj, v).values()).items())) for v in range(n)]
 
@@ -152,7 +153,7 @@ def find_isomorphism(g1: LabeledGraph, g2: LabeledGraph) -> dict[int, int] | Non
     # visit g1 vertices in BFS order so candidates are adjacency-constrained
     order: list[int] = []
     seen: set[int] = set()
-    for s in sorted(range(n), key=lambda v: len(by_sig.get(sig1[v], []))):
+    for s in sorted(range(n), key=lambda v: len(by_sig[sig1[v]])):
         if s not in seen:
             reached = bfs(g1.adj, s)
             order.extend(reached)
@@ -160,26 +161,26 @@ def find_isomorphism(g1: LabeledGraph, g2: LabeledGraph) -> dict[int, int] | Non
 
     mapping: dict[int, int] = {}
     used = [False] * n
+    adj1, adj2 = g1.adj, g2.adj
 
     def backtrack(idx: int) -> bool:
         if idx == n:
             return True
         v = order[idx]
-        for w in by_sig.get(sig1[v], []):
-            if used[w] or len(g2.adj[w]) != len(g1.adj[v]):
+        placed = [mapping[u] for u in adj1[v] if u in mapping]
+        sig = sig1[v]
+        pool = [w for w in adj2[placed[0]] if sig2[w] == sig] if placed else by_sig[sig]
+        for w in pool:
+            if used[w] or sum(used[x] for x in adj2[w]) != len(placed):
                 continue
-            ok = True
-            for u in order[:idx]:
-                if g1.has_edge(v, u) != g2.has_edge(w, mapping[u]):
-                    ok = False
-                    break
-            if ok:
-                mapping[v] = w
-                used[w] = True
-                if backtrack(idx + 1):
-                    return True
-                used[w] = False
-                del mapping[v]
+            if not all(g2.has_edge(w, x) for x in placed):
+                continue
+            mapping[v] = w
+            used[w] = True
+            if backtrack(idx + 1):
+                return True
+            used[w] = False
+            del mapping[v]
         return False
 
     return dict(mapping) if backtrack(0) else None
@@ -553,11 +554,16 @@ def extend_i(g: LabeledGraph, spokes: list[Edge]) -> Certificate | Rejection:
     return res if isinstance(res, Rejection) else _certificate(*res)
 
 
-def _constant_branch(
-    g: LabeledGraph, family: str, stored: tuple[tuple[int, ...], ...]
-) -> Certificate | Rejection:
-    for params in stored:
-        p = _PARAMS[family](*params)
+def _constant_branch(g: LabeledGraph, family: str) -> Certificate | Rejection:
+    """Every edge of g lies on as many 8-cycles, so there is no spoke class
+    to pull out.  The paper lists every such member (`tables`): search each
+    canonical member of g's order once, in list order (DP(10,3), the twin
+    of DP(10,2), is not searched again), and replay the first isomorphism."""
+    if family == I_GRAPH:
+        members = [IParams(*p) for p in CYCLE_REGULAR_I]
+    else:
+        members = list(dict.fromkeys(dp_canonical_params(DPParams(*p)) for p in CYCLE_REGULAR_DP))
+    for p in members:
         order, edges = member_edges(p)
         if order != g.n or len(edges) != g.m:
             continue
@@ -781,8 +787,7 @@ def _from_partition(
 ) -> Certificate | Rejection:
     """Pull the spokes out of the minimal 8-cycle-count classes and extend."""
     if len(parts) == 1:
-        stored = I_CONSTANT_OCTAGON if family == I_GRAPH else DP_CONSTANT_OCTAGON
-        return _constant_branch(g, family, stored)
+        return _constant_branch(g, family)
     extend = extend_i if family == I_GRAPH else extend_dp
     last: Certificate | Rejection = Rejection("partition-shape", "no spoke class found")
     for cls in _minimal_classes(parts):
@@ -848,9 +853,7 @@ class DiagonalState:
     pivots: int
 
 
-def determine_diagonals(
-    g: LabeledGraph, check_invariants: bool = False
-) -> DiagonalState | Rejection:
+def determine_diagonals(g: LabeledGraph) -> DiagonalState | Rejection:
     """Peel off the diagonal matching of a would-be folded cube.
 
     Seeds one arbitrary edge (arc-transitivity of genuine folded cubes
@@ -875,12 +878,6 @@ def determine_diagonals(
         live = [d for d in buckets if buckets[d]]
         if not live:
             break
-        if check_invariants:
-            for d in live:
-                for (eu, ev) in buckets[d]:
-                    assert len(adj[eu]) == d and len(adj[ev]) == d, (
-                        "bucket invariant violated"
-                    )
         i = min(live)
         uv = next(iter(buckets[i]))
         del buckets[i][uv]

@@ -2,8 +2,8 @@
 
 These drive both the `verify-tables` CLI command and the acceptance suite:
 generate every family member on a grid, measure its cycle data with the
-brute-force oracle, and compare against the analytic predictions and the
-published lists of cycle-regular members.
+brute-force oracle, for comparison with the analytic predictions and the
+published lists of cycle-regular members (both in `tables`).
 """
 
 from __future__ import annotations
@@ -24,27 +24,6 @@ from .families import (
 )
 from .recognition import Certificate, recognize_folded_cube, recognize_i_graph
 from .tables import fq_lambda, published_fq_lambda
-
-#: Published [1,lambda,8]-cycle regular I-graphs (canonical parameters).
-CYCLE_REGULAR_I: dict[tuple[int, int, int], int] = {
-    (3, 1, 1): 0,
-    (4, 1, 1): 4,
-    (5, 1, 2): 8,
-    (8, 1, 3): 8,
-    (10, 1, 2): 8,
-    (10, 1, 3): 8,
-    (12, 1, 5): 8,
-    (13, 1, 5): 8,
-    (24, 1, 5): 8,
-    (26, 1, 5): 8,
-}
-
-#: Published [1,lambda,8]-cycle regular DP-graphs (raw parameter pairs).
-CYCLE_REGULAR_DP: dict[tuple[int, int], int] = {
-    (5, 2): 8,
-    (10, 2): 8,
-    (10, 3): 8,
-}
 
 
 def canonical_i_grid(max_n: int) -> list[IParams]:
@@ -181,21 +160,3 @@ def bench_fq_recognition(dims: list[int], repeats: int = 1) -> list[BenchRow]:
             rows.append(BenchRow(n, g.m, dt, dt / g.m))
     return rows
 
-
-def fq_time_bound_ok(rows: list[BenchRow], fit_dims: int = 4, slack: float = 2.5) -> bool:
-    """Engineering check that FQ recognition stays within c*|E|*log|V|.
-
-    The constant is fitted on the smallest `fit_dims` dimensions; every run
-    must stay under the fitted bound times `slack`.
-    """
-    by_n: dict[int, list[BenchRow]] = {}
-    for r in rows:
-        by_n.setdefault(r.n, []).append(r)
-    dims = sorted(by_n)
-    units = {}
-    for n in dims:
-        med = sorted(r.elapsed_ns for r in by_n[n])[len(by_n[n]) // 2]
-        edges = by_n[n][0].edges
-        units[n] = med / (edges * (n - 1))  # log2 |V| = n - 1
-    c = max(units[n] for n in dims[:fit_dims])
-    return all(units[n] <= slack * c for n in dims)

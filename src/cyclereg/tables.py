@@ -1,5 +1,6 @@
-"""Analytic 8-cycle classification for I- and DP-graphs, and the closed-form
-cycle-regularity constants for folded cubes.
+"""Analytic 8-cycle classification for I- and DP-graphs, the published
+lists of their members with a constant per-edge 8-cycle count, and the
+closed-form cycle-regularity constants for folded cubes.
 
 Every 8-cycle class is stored as data: a human-readable existence
 condition, symbolic representative patterns, the per-class contribution to
@@ -39,20 +40,6 @@ class CycleClass:
     tau: OctagonTriple
     gamma: str
     variants: tuple[CycleVariant, ...]
-
-
-_GAMMA: dict[str, Callable[[int], int]] = {
-    "n": lambda n: n,
-    "n/2": lambda n: n // 2,
-    "n/4": lambda n: n // 4,
-    "n/8": lambda n: n // 8,
-    "2n": lambda n: 2 * n,
-    "2": lambda n: 2,
-}
-
-
-def gamma_value(c: CycleClass, n: int) -> int:
-    return _GAMMA[c.gamma](n)
 
 
 def _i_pattern(*terms: tuple[str, int, int]) -> tuple[Term, ...]:
@@ -376,6 +363,28 @@ def predict_dp_octagon(p: DPParams) -> OctagonTriple:
         if mult:
             total = total + c.tau.scaled(mult)
     return total
+
+
+#: Published [1,lambda,8]-cycle regular I-graphs (canonical parameters).
+CYCLE_REGULAR_I: dict[tuple[int, int, int], int] = {
+    (3, 1, 1): 0,
+    (4, 1, 1): 4,
+    (5, 1, 2): 8,
+    (8, 1, 3): 8,
+    (10, 1, 2): 8,
+    (10, 1, 3): 8,
+    (12, 1, 5): 8,
+    (13, 1, 5): 8,
+    (24, 1, 5): 8,
+    (26, 1, 5): 8,
+}
+
+#: Published [1,lambda,8]-cycle regular DP-graphs (raw parameter pairs).
+CYCLE_REGULAR_DP: dict[tuple[int, int], int] = {
+    (5, 2): 8,
+    (10, 2): 8,
+    (10, 3): 8,
+}
 
 
 class UnsupportedPatternError(ValueError):

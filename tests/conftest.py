@@ -2,7 +2,7 @@ import random
 
 from hypothesis import settings
 
-from cyclereg import LabeledGraph, build_graph
+from cyclereg import DPParams, LabeledGraph, build_graph
 
 # keep the randomized suites reproducible run to run
 settings.register_profile("repro", derandomize=True)
@@ -63,3 +63,24 @@ def enumerate_cycles(g: LabeledGraph, m: int) -> list[tuple[int, ...]]:
     for v0 in range(g.n):
         dfs(v0, {v0})
     return out
+
+
+class OddNError(ValueError):
+    pass
+
+
+def dp_twin_map(p: DPParams) -> dict[int, int]:
+    """The explicit vertex bijection DP(n,k) -> DP(n, n/2 - k) for even n:
+    u_i -> u_i, w_i -> w_i, x_i -> x_{i+n/2}, y_i -> y_{i+n/2}.
+    """
+    n = p.n
+    if n % 2 != 0:
+        raise OddNError(f"n must be even, got {n}")
+    half = n // 2
+    mapping: dict[int, int] = {}
+    for i in range(n):
+        mapping[i] = i
+        mapping[n + i] = n + i
+        mapping[2 * n + i] = 2 * n + (i + half) % n
+        mapping[3 * n + i] = 3 * n + (i + half) % n
+    return mapping

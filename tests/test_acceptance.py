@@ -23,7 +23,6 @@ from cyclereg import (
     IParams,
     OctagonTriple,
     dp_canonical_params,
-    dp_twin_map,
     find_isomorphism,
     fq_lambda,
     generate_dp,
@@ -39,21 +38,20 @@ from cyclereg import (
     verify_certificate,
 )
 from cyclereg.scans import (
-    CYCLE_REGULAR_DP,
-    CYCLE_REGULAR_I,
+    BenchRow,
     bench_fq_recognition,
     bench_i_recognition,
     canonical_i_grid,
     check_fq_eight_cycle_conjecture,
     check_fq_formula,
     dp_grid,
-    fq_time_bound_ok,
     measured_octagon,
     scan_cycle_regular_dp,
     scan_cycle_regular_i,
 )
+from cyclereg.tables import CYCLE_REGULAR_DP, CYCLE_REGULAR_I
 
-from conftest import random_cubic, shuffled
+from conftest import dp_twin_map, random_cubic, shuffled
 
 
 def _report(num: int, ok: bool, msg: str) -> None:
@@ -379,6 +377,25 @@ def _cross_check_small(g, false_accepts):
 
 # ---------------------------------------------------------------------------
 # 7. Linearity evidence
+
+
+def fq_time_bound_ok(rows: list[BenchRow], fit_dims: int = 4, slack: float = 2.5) -> bool:
+    """Engineering check that FQ recognition stays within c*|E|*log|V|.
+
+    The constant is fitted on the smallest `fit_dims` dimensions; every run
+    must stay under the fitted bound times `slack`.
+    """
+    by_n: dict[int, list[BenchRow]] = {}
+    for r in rows:
+        by_n.setdefault(r.n, []).append(r)
+    dims = sorted(by_n)
+    units = {}
+    for n in dims:
+        med = sorted(r.elapsed_ns for r in by_n[n])[len(by_n[n]) // 2]
+        edges = by_n[n][0].edges
+        units[n] = med / (edges * (n - 1))  # log2 |V| = n - 1
+    c = max(units[n] for n in dims[:fit_dims])
+    return all(units[n] <= slack * c for n in dims)
 
 
 @pytest.mark.slow

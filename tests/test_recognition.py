@@ -1,5 +1,6 @@
 import dataclasses
 import random
+import tracemalloc
 from math import gcd
 
 import pytest
@@ -32,6 +33,9 @@ from cyclereg import (
     verify_certificate,
     vertex_name,
 )
+from cyclereg.families import member_edges
+from cyclereg.scans import canonical_i_grid, dp_grid
+from cyclereg.tables import CYCLE_REGULAR_DP, CYCLE_REGULAR_I
 
 from conftest import enumerate_cycles, random_cubic, shuffled
 
@@ -237,14 +241,18 @@ def test_fq_round_trip(n):
 
 
 def test_fq_determine_diagonals_fq5():
-    g = generate_folded_cube(FQParams(5))
-    state = determine_diagonals(g, check_invariants=True)
-    assert not isinstance(state, Rejection)
-    diag = state.diagonals
-    assert len(diag) == 8
-    assert len({v for e in diag for v in e}) == 16  # perfect matching
-    rest = [e for e in g.edges() if e not in set(diag)]
-    assert is_regular(build_graph(16, rest), 4)
+    # from the seed edge (0, 1), unrelabeled FQ_n peels the dimension-0
+    # matching, one pivot per diagonal except the last one found
+    for n in range(3, 12):
+        g = generate_folded_cube(FQParams(n))
+        state = determine_diagonals(g)
+        assert not isinstance(state, Rejection)
+        diag = state.diagonals
+        assert diag == [(v, v ^ 1) for v in range(0, g.n, 2)]
+        assert state.pivots == g.n // 2 - 1
+        assert len({v for e in diag for v in e}) == g.n  # perfect matching
+        rest = [e for e in g.edges() if e not in set(diag)]
+        assert is_regular(build_graph(g.n, rest), n - 1)
 
 
 def test_fq3_any_matching_of_k4():
@@ -435,6 +443,28 @@ def test_verify_certificate_order_and_size_guards():
     assert not _replays(build_graph(11, list(pet.edges())), IParams(5, 1, 2), identity)
 
 
+def test_verify_certificate_huge_fq_dimension_builds_no_order():
+    # 2^(n-1) is decided by exponent against |V|, never built
+    pet = generate_gp(5, 2)
+    cert = Certificate("folded-cube", (10**8,), (10**8,), {})
+    tracemalloc.start()
+    try:
+        ok = verify_certificate(pet, cert)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert ok is False
+    assert peak < 1 << 20, peak
+
+
+def test_verify_certificate_fq5_fq6_own_and_swapped():
+    graphs = {n: shuffled(generate_folded_cube(FQParams(n)), n) for n in (5, 6)}
+    certs = {n: _accept(recognize_folded_cube(g)) for n, g in graphs.items()}
+    for n, g in graphs.items():
+        for c, cert in certs.items():
+            assert verify_certificate(g, cert) is (n == c), (n, c)
+
+
 def _renamed(cert, old, new):
     """The certificate with the vertex labeled `old` relabeled `new`."""
     labeling = {v: new if name == old else name for v, name in cert.labeling.items()}
@@ -502,6 +532,44 @@ def test_random_cubic_no_false_accepts():
             if isinstance(res, Certificate):
                 # any accept must be genuine
                 assert verify_certificate(g, res)
+
+
+def _stored_members():
+    return [IParams(*p) for p in CYCLE_REGULAR_I] + [DPParams(*p) for p in CYCLE_REGULAR_DP]
+
+
+def test_find_isomorphism_agrees_with_networkx_on_stored_orders():
+    nx = pytest.importorskip("networkx")
+    same_order = {}
+    for p in [*canonical_i_grid(13), *dp_grid(6)]:
+        g = build_graph(*member_edges(p))
+        same_order.setdefault(g.n, []).append((p, g))
+    pairs = 0
+    for i, member in enumerate(_stored_members()):
+        target = build_graph(*member_edges(member))
+        if target.n > 26:
+            continue
+        for p, g in same_order[target.n]:
+            relabeled = shuffled(g, 100 + i)
+            iso = find_isomorphism(relabeled, target)
+            truth = nx.is_isomorphic(nx.Graph(list(relabeled.edges())),
+                                     nx.Graph(list(target.edges())))
+            assert (iso is not None) == truth, (member, p)
+            if iso is not None:
+                assert sorted(iso) == list(range(g.n))
+                assert sorted(iso.values()) == list(range(g.n))
+                assert all(target.has_edge(iso[a], iso[b]) for a, b in relabeled.edges())
+            pairs += 1
+    assert pairs == 39
+
+
+def test_stored_members_accepted_under_relabeling():
+    for member in _stored_members():
+        g = build_graph(*member_edges(member))
+        for seed in range(3):
+            relabeled = shuffled(g, seed)
+            cert = _accept(recognize(relabeled))
+            assert verify_certificate(relabeled, cert), (member, seed)
 
 
 def test_find_isomorphism_distinguishes():

@@ -1,15 +1,16 @@
 from math import gcd
+from typing import Callable
 
 import pytest
 
 from cyclereg import (
+    CycleClass,
     DPParams,
     IParams,
     OctagonTriple,
     UnsupportedPatternError,
     dp_cycle_classes,
     fq_lambda,
-    gamma_value,
     i_graph_cycle_classes,
     predict_dp_octagon,
     predict_i_octagon,
@@ -17,6 +18,20 @@ from cyclereg import (
 from cyclereg.scans import measured_octagon
 from cyclereg.families import generate_dp, generate_i_graph
 from cyclereg.tables import DP_CYCLE_CLASSES, I_CYCLE_CLASSES, published_fq_lambda
+
+
+_GAMMA: dict[str, Callable[[int], int]] = {
+    "n": lambda n: n,
+    "n/2": lambda n: n // 2,
+    "n/4": lambda n: n // 4,
+    "n/8": lambda n: n // 8,
+    "2n": lambda n: 2 * n,
+    "2": lambda n: 2,
+}
+
+
+def gamma_value(c: CycleClass, n: int) -> int:
+    return _GAMMA[c.gamma](n)
 
 
 def _present(classes):
