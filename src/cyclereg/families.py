@@ -173,23 +173,32 @@ def _fold(x: int, n: int) -> int:
     return min(x, n - x)
 
 
-def canonical_i_params(p: IParams) -> IParams:
-    """Lexicographically smallest (n,j,k) in the isomorphism class of p.
+def canonical_i_unit(p: IParams) -> tuple[IParams, int]:
+    """Lexicographically smallest (n,j,k) in the isomorphism class of p, and
+    the first unit a that reaches it.
 
     I(n,j,k) ~ I(n,j',k') iff {j',k'} = {aj, +-ak} mod n for some a coprime
-    to n; folding representatives into (0, n/2) absorbs the sign choice, so
+    to n (Horvat, Pisanski and Zitnik, "Isomorphism checking of I-graphs",
+    2012); folding representatives into (0, n/2) absorbs the sign choice, so
     a plain scan over the multipliers suffices (n is small, clarity wins).
     """
     n = p.n
     best: tuple[int, int] | None = None
+    unit = 0
     for a in range(1, n):
         if gcd(a, n) != 1:
             continue
         pair = tuple(sorted((_fold(a * p.j, n), _fold(a * p.k, n))))
         if best is None or pair < best:
-            best = pair
+            best, unit = pair, a
     assert best is not None
-    return IParams(n, best[0], best[1])
+    return IParams(n, best[0], best[1]), unit
+
+
+def canonical_i_params(p: IParams) -> IParams:
+    """Lexicographically smallest (n,j,k) in the isomorphism class of p
+    (`canonical_i_unit`)."""
+    return canonical_i_unit(p)[0]
 
 
 def dp_even_twin(p: DPParams) -> DPParams | None:

@@ -23,6 +23,7 @@ from .families import (
     IParams,
     Params,
     canonical_i_params,
+    canonical_i_unit,
     dp_canonical_params,
     member_edges,
     member_order,
@@ -134,7 +135,9 @@ def find_isomorphism(g1: LabeledGraph, g2: LabeledGraph) -> dict[int, int] | Non
     else any of the bucket, in ascending order.  w is taken when v's placed
     neighbours map to neighbours of w and no other used vertex is adjacent
     to w, which keeps adjacency to the placed vertices both ways in
-    O(degree).
+    O(degree).  The search keeps its own stack, one generator of candidates
+    per placed vertex, so its depth is not bounded by Python's recursion
+    limit.
     """
     n = g1.n
     if n != g2.n or g1.m != g2.m:
@@ -163,27 +166,30 @@ def find_isomorphism(g1: LabeledGraph, g2: LabeledGraph) -> dict[int, int] | Non
     used = [False] * n
     adj1, adj2 = g1.adj, g2.adj
 
-    def backtrack(idx: int) -> bool:
-        if idx == n:
-            return True
-        v = order[idx]
+    def candidates(v: int):
         placed = [mapping[u] for u in adj1[v] if u in mapping]
         sig = sig1[v]
         pool = [w for w in adj2[placed[0]] if sig2[w] == sig] if placed else by_sig[sig]
-        for w in pool:
-            if used[w] or sum(used[x] for x in adj2[w]) != len(placed):
-                continue
-            if not all(g2.has_edge(w, x) for x in placed):
-                continue
-            mapping[v] = w
-            used[w] = True
-            if backtrack(idx + 1):
-                return True
-            used[w] = False
-            del mapping[v]
-        return False
+        return (
+            w for w in pool
+            if not used[w] and sum(used[x] for x in adj2[w]) == len(placed)
+            and all(g2.has_edge(w, x) for x in placed)
+        )
 
-    return dict(mapping) if backtrack(0) else None
+    stack = []  # the candidates left for order[0], order[1], ...
+    while len(mapping) < n:
+        if len(stack) == len(mapping):
+            stack.append(candidates(order[len(mapping)]))
+        w = next(stack[-1], None)
+        if w is not None:
+            mapping[order[len(stack) - 1]] = w
+            used[w] = True
+            continue
+        stack.pop()
+        if not stack:
+            return None
+        used[mapping.pop(order[len(stack) - 1])] = False
+    return mapping
 
 
 # ---------------------------------------------------------------------------
@@ -215,23 +221,29 @@ def _f_neighbors(g: LabeledGraph, partner: list[int]) -> list[tuple[int, int]] |
     return pairs
 
 
+def _walk(fnbrs: list[tuple[int, int]], start: int, nxt: int) -> list[int]:
+    """The complement cycle through `start`, walked towards its neighbour
+    `nxt`.  `nxt` must be one of fnbrs[start]; otherwise the walk need not
+    come back to `start` and never ends."""
+    cyc = [start]
+    prev, cur = start, nxt
+    while cur != start:
+        cyc.append(cur)
+        a, b = fnbrs[cur]
+        prev, cur = cur, (b if a == prev else a)
+    return cyc
+
+
 def _f_cycles(fnbrs: list[tuple[int, int]]) -> list[list[int]]:
     """Cycle decomposition of the 2-regular complement of the spokes."""
-    n = len(fnbrs)
-    seen = [False] * n
+    seen = [False] * len(fnbrs)
     cycles = []
-    for s in range(n):
-        if seen[s]:
-            continue
-        cyc = [s]
-        seen[s] = True
-        prev, cur = s, fnbrs[s][0]
-        while cur != s:
-            seen[cur] = True
-            cyc.append(cur)
-            a, b = fnbrs[cur]
-            prev, cur = cur, (b if a == prev else a)
-        cycles.append(cyc)
+    for s, (nxt, _) in enumerate(fnbrs):
+        if not seen[s]:
+            cyc = _walk(fnbrs, s, nxt)
+            for v in cyc:
+                seen[v] = True
+            cycles.append(cyc)
     return cycles
 
 
@@ -301,61 +313,16 @@ def _i_replayed(
     return (p, phi) if _replays(g, p, phi) else None
 
 
-def _march_shadow(
-    rim: list[int],
-    partner: list[int],
-    fnbrs: list[tuple[int, int]],
-    cand: tuple[int, int, int, int],
-) -> tuple[list[int], list[int]] | None:
-    """Walk the alternating 8-cycle shape around the whole rim.
-
-    Returns the shadow rim (ps) and its spoke partners (zs): ps[t] plays
-    u_{tj+k}, zs[t] plays w_{tj+k}.  None when the shape breaks anywhere.
-    """
-    l1 = len(rim)
-    z1, p1, p2, z2 = cand
-    ps = [p1]
-    zs = [z1]
-    prev_p, cur_p, cur_z = p1, p2, z2
-    for t in range(1, l1):
-        if cur_z not in fnbrs[partner[rim[t]]]:
-            return None
-        ps.append(cur_p)
-        zs.append(cur_z)
-        a, b = fnbrs[cur_p]
-        if a == prev_p:
-            nxt_p = b
-        elif b == prev_p:
-            nxt_p = a
-        else:
-            return None
-        nxt_z = partner[nxt_p]
-        if nxt_z not in fnbrs[partner[rim[(t + 1) % l1]]]:
-            return None
-        prev_p, cur_p, cur_z = cur_p, nxt_p, nxt_z
-    if cur_p != ps[0] or cur_z != zs[0]:
-        return None
-    rim_set = set(rim)
-    w_set = {partner[v] for v in rim}
-    p_set, z_set = set(ps), set(zs)
-    if len(p_set) != l1 or len(z_set) != l1:
-        return None
-    if (p_set | z_set) & (rim_set | w_set) or p_set & z_set:
-        return None
-    return ps, zs
-
-
 def exact_i_isomorphism(
     g: LabeledGraph, spokes: list[Edge]
 ) -> tuple[IParams, dict[int, str]] | Rejection:
     """Labeling of g as an I-graph given its spoke matching.
 
-    Fixes one longest complement cycle as the outer rim, orients the
-    alternating 8-cycle through the first rim edge (both choices are
-    tried), propagates the induced shadow rim, and pins the inner step by
-    solving the positional congruences it forces on the inner cycle through
-    w_0.  Every candidate labeling is replayed against I(n,j,k), and the
-    first one that replays is returned.
+    The complement of the spokes must split into rims: two n-cycles, or
+    cycles of two lengths, n in each.  One longest cycle is the outer rim
+    u_0, u_j, ... (`_i_label_attempt`); every candidate labeling built from
+    it is replayed against I(n,j,k), and the first one that replays is
+    returned.
     """
     if g.n % 2 or g.n < 6:
         return Rejection("odd-order", f"|V| = {g.n} is not 2n with n >= 3")
@@ -386,13 +353,8 @@ def exact_i_isomorphism(
     if 2 * j >= n:
         return Rejection("cycle-collection-shape", "too many rim cycles")
 
-    cycle_id: dict[int, int] = {}
-    for ci, cyc in enumerate(cycles):
-        for v in cyc:
-            cycle_id[v] = ci
-
     for rim in rims:
-        res = _i_label_attempt(g, n, j, rim, partner, fnbrs, cycles, cycle_id)
+        res = _i_label_attempt(g, n, j, rim, partner, fnbrs)
         if res is not None:
             p, phi = res
             return p, _named(p, phi)
@@ -406,9 +368,18 @@ def _i_label_attempt(
     rim: list[int],
     partner: list[int],
     fnbrs: list[tuple[int, int]],
-    cycles: list[list[int]],
-    cycle_id: dict[int, int],
 ) -> tuple[IParams, dict[int, int]] | None:
+    """The first replaying labeling with rim[t] as u_{tj}, or None.
+
+    A rim of all n u's labels every vertex, and k is read off one inner
+    edge.  With several rims, the u_{tj+k} form another outer cycle, the
+    shadow rim.  It is walked from the spoke partner of each neighbour z of
+    w_0, both ways (four walks), and kept when it has the rim's length and
+    the spoke partner of its t-th vertex is an inner neighbour of w_{tj}.
+    The positions of the w_{tj} and of the shadow's partners on the inner
+    cycle through w_0 and z give congruences for k; each solution that
+    keeps gcd(n,j,k) = 1 and that cycle's length goes to `_i_complete`.
+    """
     l1 = len(rim)
     u_idx = {v: (t * j) % n for t, v in enumerate(rim)}
     w_idx: dict[int, int] = {}
@@ -418,9 +389,9 @@ def _i_label_attempt(
             return None
         w_idx[w] = (t * j) % n
 
+    w0 = partner[rim[0]]
     if l1 == n:
         # the rim and its spoke partners already label everything
-        w0 = partner[rim[0]]
         z = fnbrs[w0][0]
         if z not in w_idx:
             return None
@@ -429,51 +400,32 @@ def _i_label_attempt(
             return None
         return _i_replayed(g, n, j, k, u_idx, w_idx)
 
-    # several rim cycles: orient via the alternating 8-cycle and march
-    u0, uj = rim[0], rim[1]
-    w0, wj = partner[u0], partner[uj]
-    candidates = []
     for z1 in fnbrs[w0]:
-        p1 = partner[z1]
-        for p2 in fnbrs[p1]:
-            z2 = partner[p2]
-            if wj in fnbrs[z2] and len({u0, uj, w0, wj, z1, p1, p2, z2}) == 8:
-                candidates.append((z1, p1, p2, z2))
-    for cand in candidates:
-        marched = _march_shadow(rim, partner, fnbrs, cand)
-        if marched is None:
-            continue
-        ps, zs = marched
-        shadow_w = {zs[t]: (t * j) % n for t in range(l1)}
-
-        inner = cycles[cycle_id[w0]]
-        ld = len(inner)
-        pos0 = inner.index(w0)
-        ordered = inner[pos0:] + inner[:pos0]
-        if ordered[1] != zs[0]:
-            ordered = [ordered[0]] + ordered[:0:-1]
-        if ordered[1] != zs[0]:
-            continue
-        constraints: list[tuple[int, int]] = [(ld, 0)]
-        for m_pos in range(1, ld):
-            v = ordered[m_pos]
-            if v in w_idx:
-                constraints.append((m_pos, w_idx[v]))
-            elif v in shadow_w:
-                constraints.append((m_pos - 1, shadow_w[v]))
-        solved = _solve_congruences(constraints, n)
-        if solved is None:
-            continue
-        r, mod = solved
-        k = r if r else mod
-        while 2 * k < n:
-            if gcd(gcd(n, j), k) == 1 and n // gcd(n, k) == ld:
-                res = _i_complete(
-                    g, n, j, k, rim, ps, zs, partner, cycles, cycle_id, u_idx, w_idx
-                )
-                if res is not None:
-                    return res
-            k += mod
+        for p2 in fnbrs[partner[z1]]:
+            zs = [partner[p] for p in _walk(fnbrs, partner[z1], p2)]
+            if len(zs) != l1 or any(zs[t] not in fnbrs[partner[v]] for t, v in enumerate(rim)):
+                continue
+            shadow_w = {zs[t]: (t * j) % n for t in range(l1)}
+            inner = _walk(fnbrs, w0, zs[0])
+            ld = len(inner)
+            constraints: list[tuple[int, int]] = [(ld, 0)]
+            for m_pos in range(1, ld):
+                v = inner[m_pos]
+                if v in w_idx:
+                    constraints.append((m_pos, w_idx[v]))
+                elif v in shadow_w:
+                    constraints.append((m_pos - 1, shadow_w[v]))
+            solved = _solve_congruences(constraints, n)
+            if solved is None:
+                continue
+            r, mod = solved
+            k = r if r else mod
+            while 2 * k < n:
+                if gcd(gcd(n, j), k) == 1 and n // gcd(n, k) == ld:
+                    res = _i_complete(g, n, j, k, rim, zs, partner, fnbrs)
+                    if res is not None:
+                        return res
+                k += mod
     return None
 
 
@@ -483,68 +435,22 @@ def _i_complete(
     j: int,
     k: int,
     rim: list[int],
-    ps: list[int],
     zs: list[int],
     partner: list[int],
-    cycles: list[list[int]],
-    cycle_id: dict[int, int],
-    u_seed: dict[int, int],
-    w_seed: dict[int, int],
+    fnbrs: list[tuple[int, int]],
 ) -> tuple[IParams, dict[int, int]] | None:
-    u_idx = dict(u_seed)
-    w_idx = dict(w_seed)
-    for t in range(len(rim)):
-        shadow = (t * j + k) % n
-        for vtx, table in ((ps[t], u_idx), (zs[t], w_idx)):
-            if vtx in u_idx or vtx in w_idx:
-                if table.get(vtx) != shadow:
-                    return None
-            table[vtx] = shadow
-
-    resolved = {cycle_id[rim[0]], cycle_id[ps[0]]}
-    if set(cycles[cycle_id[ps[0]]]) != set(ps):
-        return None
-
-    pending = [ci for ci in range(len(cycles)) if ci not in resolved]
-    progress = True
-    while pending and progress:
-        progress = False
-        still = []
-        for ci in pending:
-            cyc = cycles[ci]
-            ln = len(cyc)
-            anchor = None
-            for i in range(ln):
-                a, b = cyc[i], cyc[(i + 1) % ln]
-                if a in w_idx and b in w_idx:
-                    anchor = i
-                    break
-            if anchor is None:
-                still.append(ci)
-                continue
-            base = w_idx[cyc[anchor]]
-            step = (w_idx[cyc[(anchor + 1) % ln]] - base) % n
-            if step not in (k, n - k):
-                return None
-            for s in range(ln):
-                v = cyc[(anchor + s) % ln]
-                idx = (base + s * step) % n
-                if v in u_idx:
-                    return None
-                if v in w_idx and w_idx[v] != idx:
-                    return None
-                w_idx[v] = idx
-            progress = True
-        pending = still
-
-    for v, idx in list(w_idx.items()):
-        p = partner[v]
-        if p in w_idx:
-            return None
-        if p in u_idx and u_idx[p] != idx:
-            return None
-        u_idx[p] = idx
-
+    """Label I(n,j,k) from the rim and the shadow's partners zs[t] =
+    w_{tj+k}: each inner cycle not yet labeled is walked from w_{tj}
+    through zs[t] as w_{tj}, w_{tj+k}, w_{tj+2k}, ..., each u takes its
+    spoke partner's index, and the replay decides.  In a labeling that
+    replays, w_0 and w_j lie on two inner cycles (gcd(n,j,k) = 1), so both
+    are walk starts: the rim runs u_0, u_j, ... as labeled, not mirrored."""
+    w_idx: dict[int, int] = {}
+    for t, v in enumerate(rim):
+        if partner[v] not in w_idx:
+            for s, w in enumerate(_walk(fnbrs, partner[v], zs[t])):
+                w_idx[w] = (t * j + s * k) % n
+    u_idx = {partner[w]: i for w, i in w_idx.items()}
     return _i_replayed(g, n, j, k, u_idx, w_idx)
 
 
@@ -579,7 +485,12 @@ def _constant_branch(g: LabeledGraph, family: str) -> Certificate | Rejection:
 def _merge_i_components(
     g: LabeledGraph, comps: list[list[int]], certs: list[Certificate]
 ) -> Certificate | Rejection:
-    """Combine per-component I-graph certificates into one for d copies."""
+    """Combine per-component I-graph certificates into one for d copies.
+
+    Each component's labeling is carried onto the canonical parameters by
+    the unit a of `canonical_i_unit`, which multiplies every index by a and
+    swaps the rims when a*j folds above a*k; copy r then takes the indices
+    congruent to r mod d."""
     canon_set = {c.canonical_params for c in certs}
     if len(canon_set) != 1:
         return Rejection("not-isomorphic", "components are not identical I-graphs")
@@ -590,31 +501,14 @@ def _merge_i_components(
     for r, (comp, cert) in enumerate(zip(comps, certs)):
         p = IParams(*cert.params)
         ids = {vertex_name(p, v): v for v in range(len(comp))}
-        transform = _i_canonical_transform(p)
+        _, a = canonical_i_unit(p)
+        swap = _fold(a * p.j, p.n) > _fold(a * p.k, p.n)
         for local_v, old_v in enumerate(comp):
-            side, idx = transform(*divmod(ids[cert.labeling[local_v]], p.n))
-            phi[old_v] = side * merged.n + r + idx * d
+            side, idx = divmod(ids[cert.labeling[local_v]], p.n)
+            phi[old_v] = (side ^ swap) * merged.n + r + (a * idx) % p.n * d
     if not _replays(g, merged, phi):
         return Rejection("labeling-inconsistent", "component merge failed verification")
     return _certificate(merged, _named(merged, phi))
-
-
-def _i_canonical_transform(p: IParams):
-    """(side, index) rewriter mapping an I(n,j,k) labeling onto canonical
-    parameters, side 0 being the u-rim and 1 the w-rim: multiply indices by
-    a witnessing unit, swapping rims when the sorted order demands it."""
-    canon = canonical_i_params(p)
-    n = p.n
-    for a in range(1, n):
-        if gcd(a, n) != 1:
-            continue
-        nj, nk = _fold(a * p.j, n), _fold(a * p.k, n)
-        if tuple(sorted((nj, nk))) == (canon.j, canon.k):
-            swap = nj > nk
-            def rewrite(side: int, idx: int, a=a, swap=swap) -> tuple[int, int]:
-                return side ^ swap, (a * idx) % n
-            return rewrite
-    raise AssertionError("canonicalization witness must exist")
 
 
 # ---------------------------------------------------------------------------

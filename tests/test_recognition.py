@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import random
 import tracemalloc
 from math import gcd
@@ -163,6 +164,65 @@ def test_constant_octagon_branch_all_specials():
         g = shuffled(generate_i_graph(IParams(n, j, k)), n + k)
         cert = _accept(recognize_i_graph(g))
         assert cert.canonical_params == (n, j, k)
+
+
+def _spoke_swapped(p, seed):
+    """I(n,j,k) with the w-ends of 1-3 seeded pairs of spokes swapped, then
+    relabeled: the rims are untouched, only the matching between them moves.
+    Returns the graph and its (relabeled) spokes."""
+    n = p.n
+    rng = random.Random(seed)
+    w_of = list(range(n))
+    picked = rng.sample(range(n), 2 * rng.randint(1, 3))
+    for a, b in zip(picked[::2], picked[1::2]):
+        w_of[a], w_of[b] = w_of[b], w_of[a]
+    order, edges = member_edges(p)
+    spokes = [(i, n + w_of[i]) for i in range(n)]
+    edges = [(a, b) for a, b in edges if b - a != n] + spokes
+    perm = list(range(order))
+    rng.shuffle(perm)
+    g = build_graph(order, [(perm[a], perm[b]) for a, b in edges])
+    return g, [(perm[a], perm[b]) for a, b in spokes]
+
+
+def test_spoke_swapped_multi_rim_near_misses():
+    # both rims split (gcd(n,j) > 1 and gcd(n,k) > 1) in a connected member,
+    # so the labeling walks a shadow rim for every input; each result is a
+    # rejection or a certificate that verifies
+    accepted = 0
+    for n in range(3, 31):
+        for j in range(1, (n + 1) // 2):
+            for k in range(1, (n + 1) // 2):
+                if gcd(n, j) == 1 or gcd(n, k) == 1 or gcd(gcd(n, j), k) > 1:
+                    continue
+                for s in range(3):
+                    g, spokes = _spoke_swapped(IParams(n, j, k), n * 997 + j * 31 + k + s)
+                    for res in (extend_i(g, spokes), recognize(g)):
+                        assert isinstance(res, Rejection) or verify_certificate(g, res), (n, j, k)
+                        accepted += isinstance(res, Certificate)
+    assert accepted > 0
+
+
+def test_certificates_pinned():
+    # one digest over (family, params, canonical params, labeling) of every
+    # input below: a change that keeps the certificates keeps the digest
+    digest = hashlib.sha256()
+
+    def add(res):
+        cert = _accept(res)
+        key = (cert.family, cert.params, cert.canonical_params, sorted(cert.labeling.items()))
+        digest.update(repr(key).encode())
+
+    for n in range(3, 25):
+        for j in range(1, (n + 1) // 2):
+            for k in range(1, (n + 1) // 2):
+                add(recognize(shuffled(generate_i_graph(IParams(n, j, k)), n * 997 + j * 31 + k)))
+    for n in range(3, 15):
+        for k in range(1, (n + 1) // 2):
+            add(recognize_dp(shuffled(generate_dp(DPParams(n, k)), n * 997 + k)))
+    for p in (IParams(60, 4, 15), IParams(1200, 4, 9)):
+        add(recognize(shuffled(generate_i_graph(p), p.n * 997 + p.j * 31 + p.k)))
+    assert digest.hexdigest() == "e3c88685b58f9e0ca8303b27324eb385ec40a437a53d4bc68086683e23fcba98"
 
 
 # ---------------------------------------------------------------------------
@@ -577,3 +637,11 @@ def test_find_isomorphism_distinguishes():
     pet = generate_gp(5, 2)
     iso = find_isomorphism(shuffled(pet, 3), pet)
     assert iso is not None
+
+
+def test_find_isomorphism_deeper_than_the_recursion_limit():
+    g = generate_gp(500, 1)  # 1,000 vertices
+    relabeled = shuffled(g, 5)
+    iso = find_isomorphism(relabeled, g)
+    assert iso is not None and sorted(iso.values()) == list(range(g.n))
+    assert all(g.has_edge(iso[a], iso[b]) for a, b in relabeled.edges())
