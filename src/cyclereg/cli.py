@@ -161,8 +161,8 @@ def cmd_recognize(args: argparse.Namespace) -> int:
 
 #: Largest cycle length `analyze` scans.  `regularity_scan` costs grow
 #: exponentially in m: on FQ_6 (32 vertices) with --l 1 the scan takes
-#: about 0.5 s at m = 8 and 10 s at m = 10, and does not finish within
-#: 100 s at m = 12.  The paper's constants need m <= 8.
+#: about 0.2 s at m = 8, 4 s at m = 10 and 75 s at m = 12 (2-core VM,
+#: Python 3.11).  The paper's constants need m <= 8.
 MAX_ANALYZE_M = 10
 
 

@@ -3,11 +3,13 @@
 
 The oracle (`count_cycles_through_path`, `octagon_value`) is deliberately
 independent of the analytic predictions in `tables`: it anchors a seed
-path and extends it by depth-first search, so any agreement between the
-two is evidence, not tautology.  The scans use it.  `octagon_partition`,
-which recognition uses, counts the 8-cycles of every edge at once with a
-whole-graph join of 4-edge paths instead; the tests check it against the
-oracle.
+path and extends it by depth-first search, pruned by BFS distance to the
+seed's first vertex, so any agreement between the two is evidence, not
+tautology.  The last two steps are counted rather than searched: they
+close the cycle through a neighbour of the first vertex.  The scans use
+it.  `octagon_partition`, which recognition uses, counts the 8-cycles of
+every edge at once with a whole-graph join of 4-edge paths instead; the
+tests check it against the oracle.
 """
 
 from __future__ import annotations
@@ -97,22 +99,48 @@ def count_cycles_through_path(g: LabeledGraph, path: Sequence[int], m: int) -> i
     if m < 3:
         raise ValueError(f"cycle length must be >= 3, got {m}")
 
-    adj = g.adj
-    target = path[0]
-    start = path[-1]
     remaining = m - t
     if remaining == 1:
-        return 1 if g.has_edge(start, target) else 0
+        return 1 if g.has_edge(path[-1], path[0]) else 0
+    return _count(g.adj, path, remaining, bfs(g.adj, path[0], _radius(m, remaining)))
 
-    dist = bfs(adj, target, remaining - 1)
-    far = remaining
+
+def _radius(m: int, remaining: int) -> int:
+    """BFS radius that prunes no vertex a cycle needs: the search places
+    only vertices with at most remaining - 1 edges of the cycle still to
+    go, so within that distance of the cycle's first vertex, and every
+    vertex of an m-cycle lies within m // 2 of it."""
+    return min(remaining - 1, m // 2)
+
+
+def _count(
+    adj: Sequence[Sequence[int]], path: Sequence[int], remaining: int, dist: dict[int, int]
+) -> int:
+    """`count_cycles_through_path` for a valid seed that needs `remaining`
+    >= 2 more edges.
+
+    `dist` holds the BFS distances from `path[0]` out to `_radius(m,
+    remaining)`; a vertex absent from it is pruned.  The search stops three
+    edges short of `path[0]`: the cycle's last two vertices are a free w
+    next to the current vertex and a free x next to both w and `path[0]`,
+    and those x are counted.
+    """
+    near = set(adj[path[0]])
     blocked = set(path)
+    far = remaining
     dist_get = dist.get
 
     def extend(cur: int, left: int) -> int:
-        if left == 1:
-            return 1 if g.has_edge(cur, target) else 0
         total = 0
+        if left == 3:
+            # x != w (no self-loops) and x != cur (cur is blocked), so w
+            # itself need not be blocked
+            for w in adj[cur]:
+                if w not in blocked and dist_get(w, far) <= 2:
+                    for x in adj[w]:
+                        if x in near and x not in blocked:
+                            total += 1
+            return total
         nxt = left - 1
         for w in adj[cur]:
             if w not in blocked and dist_get(w, far) <= nxt:
@@ -121,8 +149,11 @@ def count_cycles_through_path(g: LabeledGraph, path: Sequence[int], m: int) -> i
                 blocked.discard(w)
         return total
 
-    count = extend(start, remaining)
-    if t == 0:
+    if remaining == 2:
+        count = sum(1 for x in adj[path[-1]] if x in near and x not in blocked)
+    else:
+        count = extend(path[-1], remaining)
+    if len(path) == 1:
         # both traversal directions found the same anchored cycle
         assert count % 2 == 0
         count //= 2
@@ -235,10 +266,21 @@ def regularity_scan(g: LabeledGraph, l: int, m: int) -> RegularityReport:
     """
     if not 0 <= l < m or m < 3:
         raise ValueError(f"need 0 <= l < m and m >= 3, got l={l}, m={m}")
+    adj = g.adj
+    remaining = m - l
     first_path: Path | None = None
     first_count = 0
+    source = -1
+    dist: dict[int, int] = {}
+    # the paths come grouped by their first vertex, the BFS source
     for p in _paths_of_length(g, l):
-        c = count_cycles_through_path(g, p, m)
+        if remaining == 1:
+            c = 1 if g.has_edge(p[-1], p[0]) else 0
+        else:
+            if p[0] != source:
+                source = p[0]
+                dist = bfs(adj, source, _radius(m, remaining))
+            c = _count(adj, p, remaining, dist)
         if first_path is None:
             first_path, first_count = p, c
         elif c != first_count:

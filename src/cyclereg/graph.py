@@ -70,16 +70,16 @@ def build_graph(n: int, edges: Sequence[tuple[int, int]]) -> LabeledGraph:
     if n < 0:
         raise VertexOutOfRangeError("vertex count must be nonnegative")
     adj: list[list[int]] = [[] for _ in range(n)]
-    seen: set[Edge] = set()
+    seen: set[int] = set()  # u * n + v for each edge, u < v
     for u, v in edges:
         if not (0 <= u < n and 0 <= v < n):
             raise VertexOutOfRangeError(f"edge ({u},{v}) outside 0..{n - 1}")
         if u == v:
             raise SelfLoopError(f"self-loop at vertex {u}")
-        e = _norm(u, v)
-        if e in seen:
-            raise DuplicateEdgeError(f"duplicate edge {e}")
-        seen.add(e)
+        key = u * n + v if u < v else v * n + u
+        if key in seen:
+            raise DuplicateEdgeError(f"duplicate edge {_norm(u, v)}")
+        seen.add(key)
         adj[u].append(v)
         adj[v].append(u)
     return LabeledGraph(n=n, adj=tuple(tuple(sorted(nbrs)) for nbrs in adj))

@@ -17,7 +17,7 @@ from .families import (
     DPParams,
     FQParams,
     IParams,
-    canonical_i_params,
+    _fold,
     generate_dp,
     generate_folded_cube,
     generate_i_graph,
@@ -27,16 +27,25 @@ from .tables import fq_lambda, published_fq_lambda
 
 
 def canonical_i_grid(max_n: int) -> list[IParams]:
-    """All canonical connected I-graph parameters with n <= max_n."""
+    """All canonical connected I-graph parameters with n <= max_n.
+
+    The pairs (j, k) of each n are visited in ascending order, so the first
+    one of an isomorphism class is its canonical one (`canonical_i_unit`);
+    its class, {a*j, a*k} folded over the units a, is then marked seen.
+    """
     grid = []
     for n in range(3, max_n + 1):
-        for j in range(1, (n - 1) // 2 + 1):
-            for k in range(j, (n - 1) // 2 + 1):
-                if gcd(gcd(n, j), k) != 1:
+        half = (n - 1) // 2
+        units = [a for a in range(1, n) if gcd(a, n) == 1]
+        seen: set[tuple[int, int]] = set()
+        for j in range(1, half + 1):
+            for k in range(j, half + 1):
+                if gcd(gcd(n, j), k) != 1 or (j, k) in seen:
                     continue
-                p = IParams(n, j, k)
-                if canonical_i_params(p) == p:
-                    grid.append(p)
+                grid.append(IParams(n, j, k))
+                for a in units:
+                    x, y = _fold(a * j, n), _fold(a * k, n)
+                    seen.add((x, y) if x < y else (y, x))
     return grid
 
 

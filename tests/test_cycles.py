@@ -1,4 +1,5 @@
 import random
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings
@@ -156,6 +157,58 @@ def test_regularity_scan_fq4_two_paths_regular():
 def test_regularity_scan_l0():
     report = regularity_scan(PETERSEN, 0, 5)
     assert report.is_regular and report.lambda_value == 6
+
+
+def _through_counts(cycles, l):
+    # path -> number of the enumerated cycles (vertex tuples in cyclic
+    # order) that contain it as a subpath on l+1 vertices, either direction
+    counts = Counter()
+    for cyc in cycles:
+        m = len(cyc)
+        counts.update({
+            tuple(c[(i + s) % m] for s in range(l + 1))
+            for c in (cyc, cyc[::-1])
+            for i in range(m)
+        })
+    return counts
+
+
+def _simple_paths(g, l):
+    out = []
+
+    def rec(path):
+        if len(path) == l + 1:
+            out.append(tuple(path))
+            return
+        for w in g.adj[path[-1]]:
+            if w not in path:
+                rec(path + [w])
+
+    for v in range(g.n):
+        rec([v])
+    return out
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.randoms(use_true_random=False))
+def test_count_and_scan_against_enumerator_on_mixed_degree_graphs(rnd):
+    # random graphs of mixed degree, seeds of 0-3 edges, m from 3 to 8:
+    # reaches both the remaining == 2 count and the count at three left
+    n = rnd.randint(3, 8)
+    density = rnd.uniform(0.2, 0.8)
+    g = build_graph(n, [(u, v) for u in range(n) for v in range(u + 1, n) if rnd.random() < density])
+    m = rnd.randint(3, 8)
+    l = rnd.randint(0, min(3, m - 1))
+    expected = _through_counts(enumerate_cycles(g, m), l)
+    counts = {p: count_cycles_through_path(g, p, m) for p in _simple_paths(g, l)}
+    assert counts == {p: expected[p] for p in counts}
+    report = regularity_scan(g, l, m)
+    if report.is_regular:
+        assert set(counts.values()) <= {report.lambda_value}
+        assert counts or report.lambda_value == 0
+    else:
+        p1, c1, p2, c2 = report.witness
+        assert (counts[p1], counts[p2]) == (c1, c2) and c1 != c2
 
 
 def test_octagon_partition_petersen():

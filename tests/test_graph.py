@@ -35,17 +35,19 @@ def test_build_triangle():
 
 
 def test_build_rejects_duplicate_in_either_orientation():
-    with pytest.raises(DuplicateEdgeError):
+    with pytest.raises(DuplicateEdgeError, match=r"^duplicate edge \(0, 1\)$"):
         build_graph(2, [(0, 1), (1, 0)])
+    with pytest.raises(DuplicateEdgeError, match=r"^duplicate edge \(1, 3\)$"):
+        build_graph(4, [(3, 1), (0, 2), (1, 3)])
 
 
 def test_build_rejects_self_loop():
-    with pytest.raises(SelfLoopError):
+    with pytest.raises(SelfLoopError, match=r"^self-loop at vertex 0$"):
         build_graph(2, [(0, 0)])
 
 
 def test_build_rejects_out_of_range_vertex():
-    with pytest.raises(VertexOutOfRangeError):
+    with pytest.raises(VertexOutOfRangeError, match=r"^edge \(0,4\) outside 0..3$"):
         build_graph(4, [(0, 4)])
 
 
