@@ -66,7 +66,6 @@ from .recognition import (
 )
 from .tables import (
     CycleClass,
-    CycleVariant,
     FqLambda,
     UnsupportedPatternError,
     dp_cycle_classes,

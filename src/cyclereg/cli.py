@@ -204,11 +204,19 @@ def cmd_analyze(args: argparse.Namespace) -> int:
 #: 20 s at FQ_9 alone, and fq26 10 s at FQ_11, 3.5 times its FQ_10 time.
 MAX_FQ_TABLE_N = 9
 
+#: Largest n the I and DP table scans (5, 8) reach.  Their grids hold on the
+#: order of n^2 members at each order n, so a scan to n costs about n^3: on
+#: a 2-core VM table 5 takes 1.0 s at n = 120 and 5 s at n = 200, table 8
+#: 2 s and 10 s.
+MAX_CUBIC_TABLE_N = 200
+
 
 def cmd_verify_tables(args: argparse.Namespace) -> int:
-    if args.table.startswith("fq") and args.max_n > MAX_FQ_TABLE_N:
-        print(f"verify-tables error: --max-n {args.max_n} is above {MAX_FQ_TABLE_N} "
-              f"for table {args.table}, the scan's cost grows exponentially in n",
+    cap, growth = ((MAX_FQ_TABLE_N, "exponentially") if args.table.startswith("fq")
+                   else (MAX_CUBIC_TABLE_N, "like n^3"))
+    if args.max_n > cap:
+        print(f"verify-tables error: --max-n {args.max_n} is above {cap} "
+              f"for table {args.table}, the scan's cost grows {growth} in n",
               file=sys.stderr)
         return 2
     ok = True

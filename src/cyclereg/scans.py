@@ -126,12 +126,13 @@ def check_fq_formula(
 
 
 def check_fq_eight_cycle_conjecture(dims: list[int]) -> list[FormulaCheck]:
-    """Brute-force [1,lambda,8] counts vs the conjectural closed form.
+    """Brute-force [1,lambda,8] counts vs the published conjectured values
+    (`published_fq_lambda`).
 
     A refutation here is a reportable outcome about the conjecture, not an
     implementation failure; the oracle is the authority.
     """
-    return check_fq_formula(1, 8, dims)
+    return check_fq_formula(1, 8, dims, published=True)
 
 
 @dataclass(frozen=True)

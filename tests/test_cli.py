@@ -1,7 +1,14 @@
 import pytest
 
 from cyclereg import cli, families, generate_gp
-from cyclereg.cli import MAX_ANALYZE_M, MAX_FQ_TABLE_N, _parse_range, _too_large, main
+from cyclereg.cli import (
+    MAX_ANALYZE_M,
+    MAX_CUBIC_TABLE_N,
+    MAX_FQ_TABLE_N,
+    _parse_range,
+    _too_large,
+    main,
+)
 from cyclereg.formats import MAX_EDGE_LIST_VERTICES, decode_graph6, parse_edge_list
 
 
@@ -162,6 +169,25 @@ def test_verify_tables_fq_above_cap_exit_2(monkeypatch, capsys, table, max_n):
     code, out, err = run(capsys, "verify-tables", "--table", table, *max_n)
     assert code == 2 and out == ""
     assert len(err.strip().splitlines()) == 1 and err.startswith("verify-tables error:")
+
+
+@pytest.mark.parametrize("table", ["5", "8"])
+@pytest.mark.parametrize("max_n", [MAX_CUBIC_TABLE_N + 1, 100000])
+def test_verify_tables_cubic_above_cap_exit_2(monkeypatch, capsys, table, max_n):
+    for name in ("scan_cycle_regular_i", "scan_cycle_regular_dp"):
+        monkeypatch.setattr(cli, name, lambda *a, name=name: pytest.fail(f"{name} was called"))
+    code, out, err = run(capsys, "verify-tables", "--table", table, "--max-n", str(max_n))
+    assert code == 2 and out == ""
+    assert len(err.strip().splitlines()) == 1 and err.startswith("verify-tables error:")
+
+
+@pytest.mark.parametrize("table,name", [("5", "scan_cycle_regular_i"), ("8", "scan_cycle_regular_dp")])
+def test_verify_tables_cubic_at_cap_runs(monkeypatch, capsys, table, name):
+    sizes = []
+    monkeypatch.setattr(cli, name, lambda max_n: sizes.append(max_n) or {})
+    code, out, err = run(capsys, "verify-tables", "--table", table, "--max-n", str(MAX_CUBIC_TABLE_N))
+    assert code == 1 and err == "" and sizes == [MAX_CUBIC_TABLE_N]
+    assert "0 found" in out
 
 
 @pytest.mark.parametrize("table,first", [("fq4", 3), ("fq6", 3), ("fq26", 3), ("fq8conj", 4)])

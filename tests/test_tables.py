@@ -1,3 +1,4 @@
+import hashlib
 from math import gcd
 from typing import Callable
 
@@ -6,18 +7,29 @@ import pytest
 from cyclereg import (
     CycleClass,
     DPParams,
+    FqLambda,
+    FQParams,
     IParams,
     OctagonTriple,
     UnsupportedPatternError,
+    canonical_i_params,
+    count_cycles_through_path,
     dp_cycle_classes,
     fq_lambda,
+    generate_folded_cube,
     i_graph_cycle_classes,
     predict_dp_octagon,
     predict_i_octagon,
 )
 from cyclereg.scans import measured_octagon
 from cyclereg.families import generate_dp, generate_i_graph
-from cyclereg.tables import DP_CYCLE_CLASSES, I_CYCLE_CLASSES, published_fq_lambda
+from cyclereg.tables import (
+    CYCLE_REGULAR_DP,
+    CYCLE_REGULAR_I,
+    DP_CYCLE_CLASSES,
+    I_CYCLE_CLASSES,
+    published_fq_lambda,
+)
 
 
 _GAMMA: dict[str, Callable[[int], int]] = {
@@ -134,18 +146,77 @@ def test_oracle_table_agreement_small_grid():
             assert predict_dp_octagon(p) == measured_octagon(p), p
 
 
+def test_oracle_table_agreement_with_k_below_j():
+    # I(n,j,k) = I(n,k,j) with the rims swapped; the patterns cover both
+    # orders, disconnected members included (I(5,2,1) is the Petersen graph)
+    checked = 0
+    for n in range(3, 21):
+        for j in range(1, (n - 1) // 2 + 1):
+            for k in range(1, j):
+                p = IParams(n, j, k)
+                assert predict_i_octagon(p) == measured_octagon(p), p
+                checked += 1
+    assert checked == 240
+    assert predict_i_octagon(IParams(5, 2, 1)) == OctagonTriple(8, 8, 8)
+
+
+def test_class_multiplicities_pinned():
+    # every I(n,j,k) with j <= k < n/2 (disconnected ones too) and every
+    # DP(n,k) with n <= 60: a change to the class data or the presence
+    # check that keeps every multiplicity keeps the digest
+    rows = []
+    regular_i, regular_dp = {}, {}
+
+    def add(p, classes):
+        rows.append((p, [(c.label, mult) for c, mult in classes]))
+        triple = sum((c.tau.scaled(mult) for c, mult in classes), OctagonTriple(0, 0, 0))
+        return triple.sigma_outer if triple.is_constant() else None
+
+    for n in range(3, 61):
+        half = (n - 1) // 2
+        for j in range(1, half + 1):
+            for k in range(j, half + 1):
+                p = IParams(n, j, k)
+                lam = add(p, i_graph_cycle_classes(p))
+                if lam is not None and gcd(gcd(n, j), k) == 1:
+                    q = canonical_i_params(p)
+                    regular_i[(q.n, q.j, q.k)] = lam
+        for k in range(1, half + 1):
+            p = DPParams(n, k)
+            lam = add(p, dp_cycle_classes(p))
+            if lam is not None:
+                regular_dp[(n, k)] = lam
+    digest = hashlib.sha256(repr(rows).encode()).hexdigest()
+    assert digest == "24b08325119f4bcc91c161deb65c8ad0bba46e3dd3e321f1acf5824fd2da037e"
+    # the classification's constant triples are the published members,
+    # with the verified lambda at the two refuted entries of table 5
+    assert regular_i == {**CYCLE_REGULAR_I, (8, 1, 3): 10, (12, 1, 5): 12}
+    assert regular_dp == CYCLE_REGULAR_DP
+
+
 def test_fq_lambda_values():
     assert fq_lambda(4, 1, 4).value == 9 and not fq_lambda(4, 1, 4).conjectured
     assert fq_lambda(6, 1, 6).value == 200
     assert fq_lambda(5, 2, 6).value == 12
-    lam = fq_lambda(8, 1, 8)
+    lam = published_fq_lambda(8, 1, 8)
     assert lam.value == 10794 and lam.conjectured
     assert fq_lambda(1, 1, 4).value == 0
     assert fq_lambda(2, 1, 6).value == 0
     assert fq_lambda(3, 2, 6).value == 0
     assert fq_lambda(5, 1, 4).value == 4
     assert fq_lambda(7, 2, 6).value == 20
-    assert fq_lambda(5, 1, 8).value == 996 and fq_lambda(5, 1, 8).conjectured
+    assert published_fq_lambda(5, 1, 8).value == 996 and published_fq_lambda(5, 1, 8).conjectured
+    assert published_fq_lambda(9, 1, 8) == FqLambda(10696, conjectured=True)
+    # the settled values: the printed specials and the hypercube count
+    assert fq_lambda(8, 1, 8) == FqLambda(10794)
+    assert fq_lambda(5, 1, 8) == FqLambda(672)
+
+
+def test_fq_eight_cycle_lambda_equals_one_edge_oracle():
+    # FQ_n is arc-transitive, so the 8-cycles through one edge give lambda
+    for n in range(2, 13):
+        g = generate_folded_cube(FQParams(n))
+        assert count_cycles_through_path(g, (0, 1), 8) == fq_lambda(n, 1, 8).value, n
 
 
 def test_fq_lambda_corrected_specials_vs_published():
