@@ -266,6 +266,12 @@ def cmd_bench(args: argparse.Namespace) -> int:
     except ValueError as exc:
         print(f"bad --n-range (expected a..b): {exc}", file=sys.stderr)
         return 2
+    if args.family == "fq" and lo < 2:
+        print("bad --n-range: FQ_1 has no edges to time per edge", file=sys.stderr)
+        return 2
+    if args.repeats < 1:
+        print(f"bad --repeats: need at least 1, got {args.repeats}", file=sys.stderr)
+        return 2
     if args.family == "i":
         sizes = [lo]
         while 2 * sizes[-1] <= hi:

@@ -8,7 +8,6 @@ names (u3, w7, binary strings, ...) are rendered from the ids by
 from __future__ import annotations
 
 from bisect import bisect_left
-from collections import deque
 from dataclasses import dataclass
 from typing import Iterator, Sequence
 
@@ -91,26 +90,18 @@ def is_regular(g: LabeledGraph, k: int) -> bool:
 
 
 def connected_components(g: LabeledGraph) -> list[list[int]]:
-    """Partition of the vertex set into maximal connected sets.
+    """Partition of the vertex set into maximal connected sets, one `bfs`
+    each.
 
     Components are listed by smallest member, each sorted ascending.
     """
-    seen = [False] * g.n
+    seen: set[int] = set()
     comps: list[list[int]] = []
     for s in range(g.n):
-        if seen[s]:
-            continue
-        comp = [s]
-        seen[s] = True
-        queue = deque([s])
-        while queue:
-            u = queue.popleft()
-            for v in g.adj[u]:
-                if not seen[v]:
-                    seen[v] = True
-                    comp.append(v)
-                    queue.append(v)
-        comps.append(sorted(comp))
+        if s not in seen:
+            comp = bfs(g.adj, s)
+            seen.update(comp)
+            comps.append(sorted(comp))
     return comps
 
 
@@ -127,16 +118,17 @@ def bfs(
     if radius is None:
         radius = len(adj)
     dist = {source: 0}
-    queue = deque([source])
-    while queue:
-        u = queue.popleft()
-        d = dist[u] + 1
-        if d > radius:
-            continue
-        for v in adj[u]:
-            if v not in dist:
-                dist[v] = d
-                queue.append(v)
+    frontier = [source]
+    d = 0
+    while frontier and d < radius:
+        d += 1
+        reached = []
+        for u in frontier:
+            for v in adj[u]:
+                if v not in dist:
+                    dist[v] = d
+                    reached.append(v)
+        frontier = reached
     return dist
 
 

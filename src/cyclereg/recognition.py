@@ -7,7 +7,10 @@ filters the candidate labelings, so a recognizer can never accept a graph
 the definition does not reproduce.  All recognizers take arbitrary graphs
 and reject with a reason otherwise.  Accepted ids are rendered to names by
 `families.vertex_name` alone; `verify_certificate` reads those names back
-in front of the same replay, for certificates from outside.
+in front of the same replay, for certificates from outside.  Folded cubes
+are labeled from one BFS of the whole graph (`extend_fq`); the paper's
+diagonal peeling (`determine_diagonals`) is kept only as the reference the
+tests compare those certificates with.
 """
 
 from __future__ import annotations
@@ -748,7 +751,9 @@ class DiagonalState:
 
 
 def determine_diagonals(g: LabeledGraph) -> DiagonalState | Rejection:
-    """Peel off the diagonal matching of a would-be folded cube.
+    """Peel off the diagonal matching of a would-be folded cube: the paper's
+    recognition step, kept as the reference that the tests hold
+    `extend_fq`'s certificates against.  No recognizer calls it.
 
     Seeds one arbitrary edge (arc-transitivity of genuine folded cubes
     makes the choice immaterial), then repeatedly takes an identified
@@ -812,82 +817,55 @@ def determine_diagonals(g: LabeledGraph) -> DiagonalState | Rejection:
     return DiagonalState(sorted(finished), pivots)
 
 
-def _cube_labels(hadj: list[list[int]], layer: dict[int, int]) -> dict[int, int] | None:
-    """The hypercube labeling of hadj from its BFS layers out of vertex 0,
-    or None when hadj is not a hypercube.
+def extend_fq(g: LabeledGraph) -> Certificate | Rejection:
+    """Folded-cube recognition on four or more vertices: label every vertex
+    from one BFS of the whole graph out of vertex 0, and replay.
 
-    Vertex 0 gets label 0 and its neighbours, in ascending id order, the
-    bits size/2, size/4, ..., 1.  Every vertex further out gets the OR of
-    the labels of its neighbours one layer closer to 0: in Q_w these are
-    its own label with one set bit cleared, once for each set bit.  When
-    hadj has Q_w's edge count, it is a hypercube exactly when the labels
-    are a bijection onto 0..size-1 under which every edge flips one bit;
-    that bijection is then an isomorphism onto Q_w, and the only one that
-    sends vertex 0 and its neighbours where the first step does.
-    """
-    size = len(hadj)
-    labels = dict.fromkeys(layer, 0)  # in BFS order, so layer by layer
-    for i, y in enumerate(hadj[0], 1):
-        labels[y] = size >> i
-    for x, d in layer.items():
-        if d >= 2:  # the layer below is labeled; the layer above still reads 0
-            lbl = 0
-            for y in hadj[x]:
-                lbl |= labels[y]
-            labels[x] = lbl
-    seen = bytearray(size)  # the labels lie in 0..size-1
-    for lbl in labels.values():
-        seen[lbl] = 1
-    if 0 in seen:  # a vertex unreached, or two vertices with one label
-        return None
-    for x, nb in enumerate(hadj):
-        lx = labels[x]
-        for y in nb:
-            z = lx ^ labels[y]
-            if z & (z - 1):
-                return None
-    return labels
-
-
-def extend_fq(g: LabeledGraph, diagonals: list[Edge]) -> Certificate | Rejection:
-    """Check that g minus the diagonals is a hypercube whose antipodes are
-    exactly the diagonal pairs, and produce the bit labeling.
-
-    The hypercube part is labeled in one pass over its BFS layers from
-    vertex 0 (`_cube_labels`).  The labeling is the one recursive halving
-    gives when it splits first along the edge from 0 to its smallest
-    neighbour, so a part without it is rejected as a failed split.
-    Bipartiteness is checked only then, to name the reason: an edge that
-    flips one bit joins labels of opposite parity, so a part that labels
-    is bipartite.
+    FQ_n is the Cayley graph of Z_2^(n-1) on e_1, ..., e_(n-1) and their
+    sum d, so a vertex at distance r from 0 is a sum of r distinct
+    generators: a word of n bits, with d as bit `size`.  Vertex 0 gets the
+    empty word, its first neighbour d, and its other neighbours, in
+    ascending id order, size/2, ..., 1.  A vertex further out gets the OR
+    of the words of its neighbours one layer closer to 0.  At r = n/2 (n
+    even) a vertex has two words, a set of r generators and its complement;
+    only the lower words inside the first one's set are joined.  In
+    FQ_4 = K_4,4 that still leaves the three vertices at distance 2 open, so
+    they get 3, 5 and 6 in ascending id order.  A word holding d stands for
+    the complement of its other bits.  The stabiliser of 0 permutes the n
+    generators, so on a member every such first step extends to an
+    isomorphism; `_replays` decides.  O(|E|).  An unreached vertex rejects
+    the graph as disconnected.
     """
     size = g.n
     if size < 4 or size & (size - 1):
         return Rejection("order", f"|V| = {size} is not a power of two")
-    width = size.bit_length() - 1
-    n = width + 1
-    partner = _matching_partner(g, diagonals)
-    if partner is None:
-        return Rejection("split-not-matching", "diagonals are not a perfect matching")
-
-    hadj: list[list[int]] = [
-        [w for w in nb if w != pv] for nb, pv in zip(g.adj, partner)
-    ]
-    if sum(len(nb) for nb in hadj) != width * size:
-        return Rejection("edge-count", "hypercube part has the wrong number of edges")
-
-    layer = bfs(hadj, 0)
-    labels = _cube_labels(hadj, layer)
-    if labels is None:
-        # bipartite iff no edge joins two BFS layers of the same parity
-        if any((layer[y] - lx) % 2 == 0 for x, lx in layer.items() for y in hadj[x]):
-            return Rejection("not-bipartite", "hypercube part is not bipartite")
-        return Rejection("split-not-matching", "recursive hypercube split failed")
-    del hadj, layer  # before the replay builds the member's edge list
+    n = size.bit_length()  # dimension: |V| = 2^(n-1)
+    if not is_regular(g, n):
+        return Rejection("not-regular", f"expected an {n}-regular graph")
+    adj = g.adj
+    dist = bfs(adj, 0)
+    if len(dist) != size:
+        return Rejection("disconnected")
+    word = [0] * size
+    for i, y in enumerate(adj[0]):
+        word[y] = size >> i
+    if n == 4:  # in K_4,4 the half-distance rule cannot tell layer 2 apart
+        for x, w in zip(sorted(x for x, r in dist.items() if r == 2), (3, 5, 6)):
+            word[x] = w
+    half = 0 if n % 2 else n // 2
+    for x, r in dist.items():
+        if r < 2 or (n == 4 and r == 2):
+            continue
+        below = [word[y] for y in adj[x] if dist[y] < r]
+        if r == half:
+            first = below[0]
+            below = [y for y in below if (y | first).bit_count() <= r]
+        w = 0
+        for y in below:
+            w |= y
+        word[x] = w
     mask = size - 1
-    for s, t in diagonals:
-        if labels[s] ^ labels[t] != mask:
-            return Rejection("diagonal-mismatch", "diagonal joins non-complementary labels")
+    labels = {v: (w & mask) ^ mask if w & size else w for v, w in enumerate(word)}
     p = FQParams(n)
     if not _replays(g, p, labels):
         return Rejection("not-isomorphic", "certificate failed verification")
@@ -895,8 +873,8 @@ def extend_fq(g: LabeledGraph, diagonals: list[Edge]) -> Certificate | Rejection
 
 
 def recognize_folded_cube(g: LabeledGraph) -> Certificate | Rejection:
-    """Robust folded-cube recognition: peel the diagonals, then certify the
-    remaining hypercube and the complementarity of the diagonal pairs."""
+    """Robust folded-cube recognition: the empty graph, FQ_1 = K_1 and
+    FQ_2 = K_2 here, every larger order by `extend_fq`."""
     size = g.n
     if size == 0:
         return Rejection("order", "empty graph")
@@ -906,17 +884,7 @@ def recognize_folded_cube(g: LabeledGraph) -> Certificate | Rejection:
         if not _replays(g, p, phi):
             return Rejection("not-isomorphic")
         return _certificate(p, _named(p, phi))
-    if size & (size - 1):
-        return Rejection("order", f"|V| = {size} is not a power of two")
-    n = size.bit_length()  # dimension: |V| = 2^(n-1)
-    if not is_regular(g, n):
-        return Rejection("not-regular", f"expected an {n}-regular graph")
-    if len(connected_components(g)) != 1:
-        return Rejection("disconnected")
-    state = determine_diagonals(g)
-    if isinstance(state, Rejection):
-        return state
-    return extend_fq(g, state.diagonals)
+    return extend_fq(g)
 
 
 def recognize(g: LabeledGraph) -> Certificate | Rejection:

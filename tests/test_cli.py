@@ -264,6 +264,25 @@ def test_bench_bad_range_exit_2(capsys, spec, message):
     assert len(err.strip().splitlines()) == 1 and message in err
 
 
+@pytest.mark.parametrize("argv,message", [
+    (["--family", "fq", "--n-range", "1..2"], "FQ_1 has no edges"),
+    (["--family", "fq", "--n-range", "1..1", "--repeats", "3"], "FQ_1 has no edges"),
+    (["--family", "i", "--n-range", "200..200", "--repeats", "0"], "bad --repeats"),
+    (["--family", "fq", "--n-range", "3..4", "--repeats", "-1"], "bad --repeats"),
+])
+def test_bench_nothing_to_time_exit_2(capsys, argv, message):
+    # FQ_1 has no edges to divide by, and no repeat gives no row
+    code, out, err = run(capsys, "bench", *argv)
+    assert code == 2 and out == ""
+    assert len(err.strip().splitlines()) == 1 and message in err
+
+
+def test_bench_fq_from_fq2(capsys):
+    code, out, _ = run(capsys, "bench", "--family", "fq", "--n-range", "2..3")
+    assert code == 0
+    assert [line.split(",")[:2] for line in out.strip().splitlines()[1:]] == [["2", "1"], ["3", "6"]]
+
+
 def test_bench_range_must_be_positive_and_ordered():
     # a start of 0 would never double past the end of the range
     for spec in ("0..3", "-2..3", "4..2"):

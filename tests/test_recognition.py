@@ -1,10 +1,15 @@
 import dataclasses
 import hashlib
+import importlib.util
 import random
+import sys
 import tracemalloc
 from math import gcd
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cyclereg import (
     Certificate,
@@ -328,47 +333,68 @@ def test_determine_diagonals_isolated_seed_vertex():
 
 def test_extend_fq_true_diagonals():
     g = generate_folded_cube(FQParams(6))
-    diag = [(a, b) for a, b in g.edges() if a ^ b == g.n - 1]  # complementary ids
-    cert = _accept(extend_fq(g, diag))
+    cert = _accept(extend_fq(g))
     assert cert.params == (6,)
+    assert cert == recognize_folded_cube(g)
+    # the first edge of vertex 0, (0, 1), is taken as a diagonal, so its
+    # class, the dimension-0 edges, carries complementary names
+    flip = str.maketrans("01", "10")
+    assert all(cert.labeling[v ^ 1] == cert.labeling[v].translate(flip) for v in range(g.n))
+
+
+NOT_ISOMORPHIC = Rejection("not-isomorphic", "certificate failed verification")
 
 
 def test_extend_fq_bad_matching_rejected():
+    # Q_3 plus a matching of non-complementary pairs: 4-regular on 8
+    # vertices, but with triangles, so not K_4,4 = FQ_4
     q3 = generate_hypercube(3)
-    bad = [(0, 3), (1, 2), (4, 7), (5, 6)]  # not complementary pairs
+    bad = [(0, 3), (1, 2), (4, 7), (5, 6)]
     g = build_graph(8, list(q3.edges()) + bad)
-    res = extend_fq(g, bad)
-    assert isinstance(res, Rejection) and res.reason == "diagonal-mismatch"
+    assert extend_fq(g) == recognize_folded_cube(g) == NOT_ISOMORPHIC
 
 
 @pytest.mark.parametrize("n", list(range(3, 11)))
 def test_fq_labeling_pinned_at_vertex_0_and_its_neighbours(n):
-    # the hypercube labeling is fixed by vertex 0 (all zeros) and by its
-    # hypercube neighbours in ascending id order (bits size/2, size/4, ...)
+    # the labeling is fixed by vertex 0 (all zeros), its first neighbour
+    # (all ones, the diagonal) and its other neighbours in ascending id
+    # order (bits size/2, size/4, ...)
     p = FQParams(n)
     g = shuffled(generate_folded_cube(p), 100 + n)
-    state = determine_diagonals(g)
     cert = _accept(recognize_folded_cube(g))
-    assert cert == extend_fq(g, state.diagonals)
+    assert cert == extend_fq(g)
     assert verify_certificate(g, cert)
     size = g.n
-    partner = {v: u for a, b in state.diagonals for u, v in ((a, b), (b, a))}
-    cube_nbrs = [y for y in g.adj[0] if y != partner[0]]
-    assert cube_nbrs == sorted(cube_nbrs) and len(cube_nbrs) == n - 1
     assert cert.labeling[0] == "0" * (n - 1)
+    assert cert.labeling[g.adj[0][0]] == "1" * (n - 1)
+    cube_nbrs = g.adj[0][1:]
+    assert len(cube_nbrs) == n - 1
     for i, y in enumerate(cube_nbrs):
         assert cert.labeling[y] == vertex_name(p, size >> (i + 1))
 
 
+@pytest.mark.parametrize("n", list(range(3, 13)))
+def test_determine_diagonals_are_the_complementary_label_pairs(n):
+    # the paper's peeling, kept as the reference: the diagonals it finds are
+    # exactly the edges whose certificate labels are complements
+    g = shuffled(generate_folded_cube(FQParams(n)), 300 + n)
+    cert = _accept(recognize_folded_cube(g))
+    flip = str.maketrans("01", "10")
+    complementary = [
+        (a, b) for a, b in g.edges() if cert.labeling[b] == cert.labeling[a].translate(flip)
+    ]
+    assert len(complementary) == g.n // 2
+    assert determine_diagonals(g).diagonals == complementary
+
+
 def _with_antipodes(size, cube_edges, seed=None):
     """The graph of `cube_edges` plus the antipodal matching v ~ v ^ (size-1),
-    under a random relabeling unless `seed` is None, and the matching."""
+    under a random relabeling unless `seed` is None."""
     perm = list(range(size))
     if seed is not None:
         random.Random(seed).shuffle(perm)
     diag = [(v, v ^ (size - 1)) for v in range(size // 2)]
-    g = build_graph(size, [(perm[a], perm[b]) for a, b in cube_edges + diag])
-    return g, sorted(tuple(sorted((perm[a], perm[b]))) for a, b in diag)
+    return build_graph(size, [(perm[a], perm[b]) for a, b in cube_edges + diag])
 
 
 @pytest.mark.parametrize("w", [4, 5, 6, 7])
@@ -383,9 +409,8 @@ def test_extend_fq_rejects_two_switched_bipartite_hypercube(w, seed):
     assert is_regular(part, w) and part.m == q.m
     assert all(bin(a).count("1") % 2 != bin(b).count("1") % 2 for a, b in edges)
     assert len(enumerate_cycles(part, 4)) < len(enumerate_cycles(q, 4))
-    g, diag = _with_antipodes(q.n, edges, seed)
-    assert extend_fq(g, diag) == Rejection("split-not-matching",
-                                           "recursive hypercube split failed")
+    g = _with_antipodes(q.n, edges, seed)
+    assert extend_fq(g) == recognize_folded_cube(g) == NOT_ISOMORPHIC
 
 
 @pytest.mark.parametrize("w", [4, 5])
@@ -393,24 +418,24 @@ def test_extend_fq_rejects_non_bipartite_part(w):
     # 2-switch (0,1),(6,7) -> (0,6),(1,7): the triangle 0-2-6 appears
     q = generate_hypercube(w)
     edges = sorted(set(q.edges()) - {(0, 1), (6, 7)} | {(0, 6), (1, 7)})
-    g, diag = _with_antipodes(q.n, edges, w)
-    assert extend_fq(g, diag) == Rejection("not-bipartite", "hypercube part is not bipartite")
+    g = _with_antipodes(q.n, edges, w)
+    assert extend_fq(g) == recognize_folded_cube(g) == NOT_ISOMORPHIC
 
 
 @pytest.mark.parametrize("w", [3, 4, 5, 6])
 @pytest.mark.parametrize("seed", [None, 2])
 def test_extend_fq_rejects_part_whose_labels_are_a_bijection(w, seed):
     # Q_w with its top vertex moved from the w vertices below it to the w
-    # unit vertices: same edge count, bipartite, and the labels are still a
-    # bijection (the top is the OR of the units), but the top's edges flip
-    # w - 1 bits; unrelabeled, only the one-bit check can reject it
+    # unit vertices: same edge count, bipartite, but the unit vertices gain
+    # a neighbour and the ones below the top lose one, so the whole graph is
+    # not regular; `extend_fq` rejects it before any labeling
     size = 1 << w
     top = size - 1
     cube = generate_hypercube(w).edges()
     edges = [e for e in cube if top not in e] + [(1 << b, top) for b in range(w)]
-    g, diag = _with_antipodes(size, edges, seed)
-    assert extend_fq(g, diag) == Rejection("split-not-matching",
-                                           "recursive hypercube split failed")
+    g = _with_antipodes(size, edges, seed)
+    expected = Rejection("not-regular", f"expected an {w + 1}-regular graph")
+    assert extend_fq(g) == recognize_folded_cube(g) == expected
 
 
 @pytest.mark.parametrize("w", [4, 5, 6])
@@ -421,9 +446,60 @@ def test_extend_fq_rejects_disconnected_bipartite_part(w):
     m = half // 2
     one = [(i, m + (i + j) % m) for i in range(m) for j in range(w)]
     edges = one + [(a + half, b + half) for a, b in one]
-    g, diag = _with_antipodes(2 * half, edges, w)
-    assert extend_fq(g, diag) == Rejection("split-not-matching",
-                                           "recursive hypercube split failed")
+    g = _with_antipodes(2 * half, edges, w)
+    assert extend_fq(g) == recognize_folded_cube(g) == NOT_ISOMORPHIC
+
+
+def test_extend_fq_rejects_unreached_vertex():
+    # two disjoint copies of FQ_4 = K_4,4: 5-regular on 16 vertices fails
+    # the degree test, so pad each copy to FQ_5's degree with a perfect
+    # matching inside it; the BFS from vertex 0 stays in one copy
+    k44 = [(a, b) for a in range(4) for b in range(4, 8)]
+    one = k44 + [(0, 1), (2, 3), (4, 5), (6, 7)]
+    g = build_graph(16, one + [(a + 8, b + 8) for a, b in one])
+    assert is_regular(g, 5)
+    assert extend_fq(g) == recognize_folded_cube(g) == Rejection("disconnected")
+
+
+def _two_switch(edges, rng, tries=200):
+    """One degree-preserving 2-switch ab, cd -> ad, cb of the edge set, or
+    none within `tries` draws (K_4 has none)."""
+    pool = sorted(edges)
+    for _ in range(tries):
+        (a, b), (c, d) = rng.sample(pool, 2)
+        if rng.random() < 0.5:
+            c, d = d, c
+        ad, cb = tuple(sorted((a, d))), tuple(sorted((c, b)))
+        if len({a, b, c, d}) == 4 and ad not in edges and cb not in edges:
+            return edges - {(a, b), tuple(sorted((c, d)))} | {ad, cb}
+    return edges
+
+
+def _square_profile(g):
+    """The sorted per-edge 4-cycle counts, an isomorphism invariant."""
+    adj = [set(nb) for nb in g.adj]
+    return sorted(sum(len(adj[a] & adj[v]) - 1 for a in adj[u] if a != v)
+                  for u, v in g.edges())
+
+
+@settings(max_examples=200, deadline=None)
+@given(n=st.sampled_from(range(3, 8)), switches=st.integers(0, 3), seed=st.integers(0, 2**32))
+def test_fq_near_misses_against_networkx(n, switches, seed):
+    # FQ_n after 0-3 random 2-switches, relabeled: accepted exactly when it
+    # is still isomorphic to FQ_n, with a certificate that verifies
+    nx = pytest.importorskip("networkx")
+    rng = random.Random(seed)
+    member = generate_folded_cube(FQParams(n))
+    edges = set(member.edges())
+    for _ in range(switches):
+        edges = _two_switch(edges, rng)
+    g = shuffled(build_graph(member.n, sorted(edges)), seed)
+    isomorphic = _square_profile(g) == _square_profile(member) and nx.vf2pp_is_isomorphic(
+        nx.Graph(list(g.edges())), nx.Graph(list(member.edges())))
+    res = recognize_folded_cube(g)
+    if isinstance(res, Certificate):
+        assert verify_certificate(g, res) and res.params == (n,)
+    assert isinstance(res, Certificate) == isomorphic, res
 
 
 def test_fq_rejects_non_fq_circulant():
@@ -645,3 +721,18 @@ def test_find_isomorphism_deeper_than_the_recursion_limit():
     iso = find_isomorphism(relabeled, g)
     assert iso is not None and sorted(iso.values()) == list(range(g.n))
     assert all(g.has_edge(iso[a], iso[b]) for a, b in relabeled.edges())
+
+
+def test_traced_benchmark_names_resolve():
+    # the benchmark's layer trace looks up each of these names before it
+    # loads any input, so a renamed or deleted one fails every traced run
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+    if not path.exists():
+        pytest.skip("no perfbench/tracing.py")
+    spec = importlib.util.spec_from_file_location("perfbench_tracing", path)
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    for mod, names in tracing.TRACED.items():
+        importlib.import_module(f"cyclereg.{mod}")
+        for name in names:
+            assert callable(getattr(sys.modules[f"cyclereg.{mod}"], name)), (mod, name)
