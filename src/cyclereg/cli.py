@@ -65,16 +65,22 @@ def _build(family: str, params: list[int]) -> LabeledGraph:
 _PARAM_COUNT = {"i": 3, "gp": 2, "dp": 2, "fq": 1, "q": 1}
 
 
-def _too_large(family: str, n: int) -> str | None:
+#: Largest member `generate --format graph6` writes: graph6 holds one bit per
+#: vertex pair, so on a 2-core VM (Python 3.11) 4096 vertices (FQ_13, G(2048,2),
+#: DP(1024,3)) take about 3.5 s and 1.4 MB, and each doubling four times that.
+MAX_GRAPH6_VERTICES = 1 << 12
+
+
+def _too_large(family: str, n: int, cap: int = MAX_EDGE_LIST_VERTICES) -> str | None:
     """A one-line refusal when the member whose first parameter is n has
-    more vertices than the edge-list reader accepts back, else None.
-    Decided from n alone: nothing is built, not even the integer 2^n."""
+    more than `cap` vertices (a power of two), else None.  Decided from n
+    alone: nothing is built, not even the integer 2^n."""
     if family in ("fq", "q"):  # 2^(n-1) and 2^n vertices, compared by exponent
-        too_large = n - (family == "fq") >= MAX_EDGE_LIST_VERTICES.bit_length()
+        too_large = n - (family == "fq") >= cap.bit_length()
     else:
-        too_large = (4 if family == "dp" else 2) * n > MAX_EDGE_LIST_VERTICES
+        too_large = (4 if family == "dp" else 2) * n > cap
     if too_large:
-        return f"family {family!r} with n = {n} has more than {MAX_EDGE_LIST_VERTICES} vertices"
+        return f"family {family!r} with n = {n} has more than {cap} vertices"
     return None
 
 
@@ -85,16 +91,18 @@ def cmd_generate(args: argparse.Namespace) -> int:
             file=sys.stderr,
         )
         return 2
-    refusal = _too_large(args.family, args.params[0])
+    graph6 = args.format == "graph6"
+    cap = MAX_GRAPH6_VERTICES if graph6 else MAX_EDGE_LIST_VERTICES
+    refusal = _too_large(args.family, args.params[0], cap)
     if refusal:
-        print(f"parameter error: {refusal}", file=sys.stderr)
+        print(f"parameter error: {refusal}" + (" for graph6" if graph6 else ""), file=sys.stderr)
         return 2
     try:
         g = _build(args.family, args.params)
     except (ParamOutOfRangeError, ValueError) as exc:
         print(f"parameter error: {exc}", file=sys.stderr)
         return 2
-    text = encode_graph6(g) + "\n" if args.format == "graph6" else emit_edge_list(g)
+    text = encode_graph6(g) + "\n" if graph6 else emit_edge_list(g)
     if args.out:
         with open(args.out, "w") as fh:
             fh.write(text)

@@ -76,9 +76,11 @@ def _replays(g: LabeledGraph, p: Params, phi: dict[int, int]) -> bool:
     as the member, and phi carries every edge of g to an edge of
     `member_edges(p)`.  That list holds each edge once, so given the first
     two, the last is checked from the member's side: every member edge
-    pulls back to an edge of g.  Linear in the size of the graph."""
-    order, edges = member_edges(p)
-    if order != g.n or len(edges) != g.m:
+    pulls back to an edge of g.  The bijection is checked first, so a
+    labeling that collides builds no edge list.  Linear in the size of the
+    graph."""
+    order = member_order(p)
+    if order != g.n:
         return False
     inv: list[int | None] = [None] * order
     for v in range(order):
@@ -86,6 +88,9 @@ def _replays(g: LabeledGraph, p: Params, phi: dict[int, int]) -> bool:
         if x is None or not 0 <= x < order or inv[x] is not None:
             return False
         inv[x] = v
+    _, edges = member_edges(p)
+    if len(edges) != g.m:
+        return False
     adj = g.adj
     return all(inv[b] in adj[inv[a]] for a, b in edges)
 
@@ -94,33 +99,49 @@ def _named(p: Params, phi: dict[int, int]) -> dict[int, str]:
     return {v: vertex_name(p, i) for v, i in phi.items()}
 
 
-def _certificate(p: Params, labeling: dict[int, str]) -> Certificate:
-    """The certificate of a replayed labeling, with canonical parameters by
-    family."""
+def _canonical(p: Params) -> Params:
+    """Canonical parameters by family: the I multiplier scan, the smaller
+    DP twin, a folded cube's own."""
     if isinstance(p, IParams):
-        canon = canonical_i_params(p)
-    elif isinstance(p, DPParams):
-        canon = dp_canonical_params(p)
-    else:
-        canon = p
-    return Certificate(_FAMILY[type(p)], astuple(p), astuple(canon), labeling)
+        return canonical_i_params(p)
+    if isinstance(p, DPParams):
+        return dp_canonical_params(p)
+    return p
+
+
+def _certificate(p: Params, labeling: dict[int, str]) -> Certificate:
+    """The certificate of a replayed labeling."""
+    return Certificate(_FAMILY[type(p)], astuple(p), astuple(_canonical(p)), labeling)
+
+
+def _certified(g: LabeledGraph, p: Params, phi: dict[int, int]) -> Certificate | None:
+    """The certificate of the member-id labeling phi when it replays, else
+    None."""
+    return _certificate(p, _named(p, phi)) if _replays(g, p, phi) else None
 
 
 def verify_certificate(g: LabeledGraph, cert: Certificate) -> bool:
-    """Check a certificate from outside: read each name back to a member id
-    through `vertex_name`, then replay the labeling (`_replays`)."""
+    """Check a certificate from outside: its labeling names exactly the
+    vertices of g, its canonical parameters are those of its parameters,
+    and each name, read back to a member id through `vertex_name`, replays
+    (`_replays`).  Malformed fields make it False, never an exception."""
     try:
         p = _PARAMS[cert.family](*cert.params)
-    except (KeyError, TypeError, ValueError):  # unknown family, wrong arity or range
+        canon = tuple(cert.canonical_params)
+        names = [cert.labeling[v] for v in range(g.n)]
+        extra = len(cert.labeling) != g.n
+    except (KeyError, TypeError, ValueError):  # unknown family, bad params, missing vertex
         return False
     # the name table below spans the member's ids; a folded cube's order
-    # 2^(n-1) is compared by exponent first, so a huge n builds no integer
-    if isinstance(p, FQParams) and p.n > g.n.bit_length():
+    # 2^(n-1) is compared by exponent first, so a huge n builds no integer,
+    # and the canonical form is computed only for a member of g's order
+    if extra or isinstance(p, FQParams) and p.n > g.n.bit_length():
         return False
-    if member_order(p) != g.n:
+    if member_order(p) != g.n or canon != astuple(_canonical(p)):
         return False
     ids = {vertex_name(p, v): v for v in range(g.n)}
-    return _replays(g, p, {v: ids.get(name) for v, name in cert.labeling.items()})
+    phi = {v: ids.get(name) if isinstance(name, str) else None for v, name in enumerate(names)}
+    return _replays(g, p, phi)
 
 
 # ---------------------------------------------------------------------------
@@ -212,16 +233,38 @@ def _matching_partner(g: LabeledGraph, edges: list[Edge]) -> list[int] | None:
     return partner
 
 
-def _f_neighbors(g: LabeledGraph, partner: list[int]) -> list[tuple[int, int]] | None:
-    """For cubic g minus a perfect matching: the two non-spoke neighbors of
-    each vertex."""
-    pairs = []
+def _order_rejection(g: LabeledGraph, per: int) -> Rejection | None:
+    """The order rule of I-graphs (per = 2) and DP-graphs (per = 4)."""
+    if g.n % per or g.n < 3 * per:
+        return Rejection("odd-order", f"|V| = {g.n} is not {per}n with n >= 3")
+    return None
+
+
+def _frame(
+    g: LabeledGraph, spokes: list[Edge]
+) -> tuple[list[int], list[tuple[int, int]], list[list[int]]] | Rejection:
+    """The spoke frame both cubic labelers start from: the partner array of
+    the spokes, each vertex's two non-spoke neighbours, and the cycles of
+    the complement.  Each cycle is walked from its least vertex towards
+    that vertex's first non-spoke neighbour, which fixes its orientation."""
+    partner = _matching_partner(g, spokes)
+    if partner is None:
+        return Rejection("partition-shape", "spoke candidate is not a perfect matching")
+    fnbrs = []
     for v in range(g.n):
         nb = [w for w in g.adj[v] if w != partner[v]]
         if len(nb) != 2:
-            return None
-        pairs.append((nb[0], nb[1]))
-    return pairs
+            return Rejection("partition-shape", "complement of spokes is not 2-regular")
+        fnbrs.append((nb[0], nb[1]))
+    seen = [False] * g.n
+    cycles = []
+    for s, (nxt, _) in enumerate(fnbrs):
+        if not seen[s]:
+            cyc = _walk(fnbrs, s, nxt)
+            for v in cyc:
+                seen[v] = True
+            cycles.append(cyc)
+    return partner, fnbrs, cycles
 
 
 def _walk(fnbrs: list[tuple[int, int]], start: int, nxt: int) -> list[int]:
@@ -235,19 +278,6 @@ def _walk(fnbrs: list[tuple[int, int]], start: int, nxt: int) -> list[int]:
         a, b = fnbrs[cur]
         prev, cur = cur, (b if a == prev else a)
     return cyc
-
-
-def _f_cycles(fnbrs: list[tuple[int, int]]) -> list[list[int]]:
-    """Cycle decomposition of the 2-regular complement of the spokes."""
-    seen = [False] * len(fnbrs)
-    cycles = []
-    for s, (nxt, _) in enumerate(fnbrs):
-        if not seen[s]:
-            cyc = _walk(fnbrs, s, nxt)
-            for v in cyc:
-                seen[v] = True
-            cycles.append(cyc)
-    return cycles
 
 
 def _spoke_candidate(g: LabeledGraph, class_edges: list[Edge]) -> list[Edge] | None:
@@ -327,16 +357,11 @@ def exact_i_isomorphism(
     it is replayed against I(n,j,k), and the first one that replays is
     returned.
     """
-    if g.n % 2 or g.n < 6:
-        return Rejection("odd-order", f"|V| = {g.n} is not 2n with n >= 3")
+    frame = _order_rejection(g, 2) or _frame(g, spokes)
+    if isinstance(frame, Rejection):
+        return frame
+    partner, fnbrs, cycles = frame
     n = g.n // 2
-    partner = _matching_partner(g, spokes)
-    if partner is None:
-        return Rejection("partition-shape", "spoke candidate is not a perfect matching")
-    fnbrs = _f_neighbors(g, partner)
-    if fnbrs is None:
-        return Rejection("partition-shape", "complement of spokes is not 2-regular")
-    cycles = _f_cycles(fnbrs)
     lengths = sorted({len(c) for c in cycles})
     if len(lengths) > 2:
         return Rejection("cycle-collection-shape", f"{len(lengths)} distinct cycle lengths")
@@ -359,8 +384,7 @@ def exact_i_isomorphism(
     for rim in rims:
         res = _i_label_attempt(g, n, j, rim, partner, fnbrs)
         if res is not None:
-            p, phi = res
-            return p, _named(p, phi)
+            return res[0], _named(*res)
     return Rejection("labeling-inconsistent")
 
 
@@ -479,21 +503,105 @@ def _constant_branch(g: LabeledGraph, family: str) -> Certificate | Rejection:
         iso = find_isomorphism(g, build_graph(order, edges))
         if iso is None:
             continue
-        phi = {v: iso[v] for v in range(g.n)}  # labeled in vertex order
-        if _replays(g, p, phi):
-            return _certificate(p, _named(p, phi))
+        cert = _certified(g, p, {v: iso[v] for v in range(g.n)})  # labeled in vertex order
+        if cert:
+            return cert
     return Rejection("not-isomorphic", "constant 8-cycle count but no stored match")
 
 
-def _merge_i_components(
-    g: LabeledGraph, comps: list[list[int]], certs: list[Certificate]
-) -> Certificate | Rejection:
-    """Combine per-component I-graph certificates into one for d copies.
+# ---------------------------------------------------------------------------
+# DP-graph recognition
+
+
+def exact_dp_isomorphism(
+    g: LabeledGraph, spokes: list[Edge]
+) -> tuple[DPParams, dict[int, str]] | Rejection:
+    """Labeling of g as DP(n,k) given its spoke matching.
+
+    Each n-cycle of the spoke frame, in frame order, is tried as the u-rim
+    u_0, u_1, ..., with the w's as its spoke partners, and each x-rim walk
+    of `_dp_walks` gives k and the x's, its s-th vertex x_{s-k}, and their
+    partners the y's.  DP isomorphisms beyond the even-n twin pair exist
+    (their full characterization is open), so the candidates are
+    stable-sorted by canonical k, then by k, which makes the result a
+    function of the isomorphism class.  Each labeling is built only when
+    its turn comes, and the first one that replays against DP(n,k) wins.
+    """
+    frame = _order_rejection(g, 4) or _frame(g, spokes)
+    if isinstance(frame, Rejection):
+        return frame
+    partner, fnbrs, cycles = frame
+    n = g.n // 4
+    options = [
+        (DPParams(n, k), rim, walk)
+        for rim in cycles
+        if len(rim) == n
+        for k, walk in _dp_walks(n, rim, partner, fnbrs)
+    ]
+    for p, rim, walk in sorted(options, key=lambda opt: (dp_canonical_params(opt[0]).k, opt[0].k)):
+        phi: dict[int, int] = {}
+        for t, v in enumerate(rim):
+            phi[v] = t  # u_t
+            phi[partner[v]] = n + t  # w_t
+        for s, v in enumerate(walk):
+            phi[v] = 2 * n + (s - p.k) % n  # x_{s-k}
+            phi[partner[v]] = 3 * n + (s - p.k) % n  # y_{s-k}
+        if _replays(g, p, phi):
+            return p, _named(p, phi)
+    return Rejection("labeling-inconsistent")
+
+
+def _dp_walks(
+    n: int, rim: list[int], partner: list[int], fnbrs: list[tuple[int, int]]
+) -> list[tuple[int, list[int]]]:
+    """(k, x-rim walk from x_{-k}) for each even arc, with `rim` as the
+    u-rim.  The inner neighbours a, b of w_0 are y_{+-k}, so their spoke
+    partners x_a, x_b cut the x-rim into arcs of 2k and n - 2k.  The x-rim
+    is walked in the frame's orientation ("forward") from x_b forward and
+    from x_a backward (k half the forward arc from x_b to x_a), then from
+    x_b backward and from x_a forward (k half the other arc).  For even n
+    both arcs can be even (the twin pair); where they are equal, at
+    k = n/4, this order decides."""
+    a, b = fnbrs[partner[rim[0]]]
+    xa, xb = partner[a], partner[b]
+    walk = _walk(fnbrs, xb, fnbrs[xb][0])
+    if len(walk) != n or xa not in walk:
+        return []
+    low = walk.index(min(walk))
+    if walk[(low + 1) % n] != fnbrs[walk[low]][0]:  # against the frame's orientation
+        walk = walk[:1] + walk[:0:-1]
+    arc = walk.index(xa)
+    return [
+        (span // 2, [walk[(start + step * s) % n] for s in range(n)])
+        for span, start, step in ((arc, 0, 1), (arc, arc, -1), (n - arc, 0, -1), (n - arc, arc, 1))
+        if span % 2 == 0
+    ]
+
+
+def extend_dp(g: LabeledGraph, spokes: list[Edge]) -> Certificate | Rejection:
+    """Extend a spoke matching to a full DP-graph certificate."""
+    res = exact_dp_isomorphism(g, spokes)
+    return res if isinstance(res, Rejection) else _certificate(*res)
+
+
+# ---------------------------------------------------------------------------
+# the cubic pipeline shared by I- and DP-graphs
+
+
+def _i_components(g: LabeledGraph, comps: list[list[int]]) -> Certificate | Rejection:
+    """An I-graph with gcd(n,j,k) = d > 1 is d identical copies: recognize
+    each component and merge the certificates into one for d copies.
 
     Each component's labeling is carried onto the canonical parameters by
     the unit a of `canonical_i_unit`, which multiplies every index by a and
     swaps the rims when a*j folds above a*k; copy r then takes the indices
     congruent to r mod d."""
+    certs = []
+    for comp in comps:
+        res = _recognize_cubic(induced_subgraph(g, comp)[0], (I_GRAPH,))
+        if isinstance(res, Rejection):
+            return res
+        certs.append(res)
     canon_set = {c.canonical_params for c in certs}
     if len(canon_set) != 1:
         return Rejection("not-isomorphic", "components are not identical I-graphs")
@@ -509,174 +617,9 @@ def _merge_i_components(
         for local_v, old_v in enumerate(comp):
             side, idx = divmod(ids[cert.labeling[local_v]], p.n)
             phi[old_v] = (side ^ swap) * merged.n + r + (a * idx) % p.n * d
-    if not _replays(g, merged, phi):
-        return Rejection("labeling-inconsistent", "component merge failed verification")
-    return _certificate(merged, _named(merged, phi))
-
-
-# ---------------------------------------------------------------------------
-# DP-graph recognition
-
-
-def exact_dp_isomorphism(
-    g: LabeledGraph, spokes: list[Edge]
-) -> tuple[DPParams, dict[int, str]] | Rejection:
-    """Labeling of g as DP(n,k) given its spoke matching.
-
-    Fixes an n-cycle as the u-rim, reaches the second rim through the
-    inner cycle at w_0, and reads k off the even-length arc between the
-    two landing points.  Every rim choice and arc orientation gives a
-    candidate; the candidates are stable-sorted by canonical k, then by k,
-    and the first whose labeling builds and replays against DP(n,k) wins.
-    """
-    if g.n % 4 or g.n < 12:
-        return Rejection("odd-order", f"|V| = {g.n} is not 4n with n >= 3")
-    n = g.n // 4
-    partner = _matching_partner(g, spokes)
-    if partner is None:
-        return Rejection("partition-shape", "spoke candidate is not a perfect matching")
-    fnbrs = _f_neighbors(g, partner)
-    if fnbrs is None:
-        return Rejection("partition-shape", "complement of spokes is not 2-regular")
-    cycles = _f_cycles(fnbrs)
-    cycle_id: dict[int, int] = {}
-    for ci, cyc in enumerate(cycles):
-        for v in cyc:
-            cycle_id[v] = ci
-
-    # Prefer the parametrization with the smallest canonical k: DP
-    # isomorphisms beyond the even-n twin pair exist (their full
-    # characterization is open), and this makes the result a deterministic
-    # function of the isomorphism class.  The rank depends only on k, so
-    # each labeling is built only when its turn comes.
-    options = [
-        (DPParams(n, k), rim, cx, start, direction)
-        for rim_id, rim in enumerate(cycles)
-        if len(rim) == n
-        for k, cx, start, direction in _dp_options(
-            n, rim, rim_id, partner, fnbrs, cycles, cycle_id
-        )
-    ]
-    for p, rim, cx, start, direction in sorted(options, key=lambda opt: _dp_rank(opt[0])):
-        phi = _dp_labeling(n, p.k, rim, cx, start, direction, partner)
-        if phi is not None and _replays(g, p, phi):
-            return p, _named(p, phi)
-    return Rejection("labeling-inconsistent")
-
-
-def _dp_rank(p: DPParams) -> tuple[int, int]:
-    canon = dp_canonical_params(p)
-    return (canon.k, p.k)
-
-
-def _dp_options(
-    n: int,
-    rim: list[int],
-    rim_id: int,
-    partner: list[int],
-    fnbrs: list[tuple[int, int]],
-    cycles: list[list[int]],
-    cycle_id: dict[int, int],
-) -> list[tuple[int, list[int], int, int]]:
-    """Every candidate (k, second rim, start, direction) with `rim` as the
-    u-rim.
-
-    The rim pins the orientation, so both assignments of the two inner
-    neighbors of w_0 to y_k / y_{-k} must be tried: each corresponds to
-    walking the even-length arc of the second rim from one of its two
-    endpoints (for even n both arcs are even, giving the twin pair).
-    """
-    on_rim: set[int] = set()
-    for v in rim:
-        w = partner[v]
-        if w in on_rim or v in on_rim or w == v:
-            return []
-        on_rim.add(v)
-        on_rim.add(w)
-    w0 = partner[rim[0]]
-    a, b = fnbrs[w0]
-    xa, xb = partner[a], partner[b]
-    if xa == xb or not on_rim.isdisjoint((xa, xb, a, b)):
-        return []
-    cx_id = cycle_id.get(xa)
-    if cx_id is None or cx_id == rim_id:
-        return []
-    cx = cycles[cx_id]
-    if len(cx) != n or cycle_id.get(xb) != cx_id:
-        return []
-    pos = {v: i for i, v in enumerate(cx)}
-    pa, pb = pos[xa], pos[xb]
-
-    arc = (pa - pb) % n
-    options = []
-    if arc >= 2 and arc % 2 == 0:
-        options.append((arc // 2, pb, 1))   # y_k := a, walk x_{-k} -> x_k forward
-        options.append((arc // 2, pa, -1))  # y_k := b, walk backward
-    arc2 = n - arc
-    if arc2 >= 2 and arc2 % 2 == 0:
-        options.append((arc2 // 2, pb, -1))
-        options.append((arc2 // 2, pa, 1))
-    return [(k, cx, start, d) for k, start, d in options if 2 * k < n]
-
-
-def _dp_labeling(
-    n: int,
-    k: int,
-    rim: list[int],
-    cx: list[int],
-    start: int,
-    direction: int,
-    partner: list[int],
-) -> dict[int, int] | None:
-    """Member ids of one `_dp_options` candidate, or None when the second
-    rim and its spoke partners overlap the labeled vertices."""
-    phi: dict[int, int] = {}
-    for t, v in enumerate(rim):
-        phi[v] = t  # u_t
-        phi[partner[v]] = n + t  # w_t
-    for s in range(n):
-        v = cx[(start + direction * s) % n]
-        y = partner[v]
-        if v in phi or y in phi or y == v:
-            return None
-        idx = (-k + s) % n
-        phi[v] = 2 * n + idx  # x_idx
-        phi[y] = 3 * n + idx  # y_idx
-    return phi
-
-
-def extend_dp(g: LabeledGraph, spokes: list[Edge]) -> Certificate | Rejection:
-    """Extend a spoke matching to a full DP-graph certificate."""
-    res = exact_dp_isomorphism(g, spokes)
-    return res if isinstance(res, Rejection) else _certificate(*res)
-
-
-# ---------------------------------------------------------------------------
-# the cubic pipeline shared by I- and DP-graphs
-
-
-def _order_rejection(g: LabeledGraph, family: str) -> Rejection | None:
-    if family == I_GRAPH:
-        if g.n % 2:
-            return Rejection("odd-order")
-        if g.n < 6:
-            return Rejection("odd-order", f"|V| = {g.n} is not 2n with n >= 3")
-    elif g.n % 4 or g.n < 12:
-        return Rejection("odd-order", f"|V| = {g.n} is not 4n with n >= 3")
-    return None
-
-
-def _i_components(g: LabeledGraph, comps: list[list[int]]) -> Certificate | Rejection:
-    """An I-graph with gcd(n,j,k) = d > 1 is d identical copies: recognize
-    each component and merge the certificates."""
-    certs = []
-    for comp in comps:
-        sub, _ = induced_subgraph(g, comp)
-        res = _recognize_cubic(sub, (I_GRAPH,))
-        if isinstance(res, Rejection):
-            return res
-        certs.append(res)
-    return _merge_i_components(g, comps, certs)
+    return _certified(g, merged, phi) or Rejection(
+        "labeling-inconsistent", "component merge failed verification"
+    )
 
 
 def _from_partition(
@@ -710,7 +653,7 @@ def _recognize_cubic(g: LabeledGraph, families: tuple[str, ...]) -> Certificate 
     comps = parts = None
     rejections = []
     for family in families:
-        res = _order_rejection(g, family)
+        res = _order_rejection(g, 2 if family == I_GRAPH else 4)
         if res is None:
             comps = comps or connected_components(g)
             if len(comps) == 1:
@@ -866,10 +809,9 @@ def extend_fq(g: LabeledGraph) -> Certificate | Rejection:
         word[x] = w
     mask = size - 1
     labels = {v: (w & mask) ^ mask if w & size else w for v, w in enumerate(word)}
-    p = FQParams(n)
-    if not _replays(g, p, labels):
-        return Rejection("not-isomorphic", "certificate failed verification")
-    return _certificate(p, _named(p, labels))
+    return _certified(g, FQParams(n), labels) or Rejection(
+        "not-isomorphic", "certificate failed verification"
+    )
 
 
 def recognize_folded_cube(g: LabeledGraph) -> Certificate | Rejection:
@@ -879,11 +821,9 @@ def recognize_folded_cube(g: LabeledGraph) -> Certificate | Rejection:
     if size == 0:
         return Rejection("order", "empty graph")
     if size in (1, 2):  # FQ_1 = K_1 and FQ_2 = K_2, labeled by identity
-        p = FQParams(size)
-        phi = {v: v for v in range(size)}
-        if not _replays(g, p, phi):
-            return Rejection("not-isomorphic")
-        return _certificate(p, _named(p, phi))
+        return _certified(g, FQParams(size), {v: v for v in range(size)}) or Rejection(
+            "not-isomorphic"
+        )
     return extend_fq(g)
 
 
@@ -900,6 +840,6 @@ def recognize(g: LabeledGraph) -> Certificate | Rejection:
         size >= 4 and size & (size - 1) == 0 and is_regular(g, size.bit_length())
     ):
         return recognize_folded_cube(g)
-    if is_regular(g, 3) and size % 2 == 0:
+    if is_regular(g, 3):
         return _recognize_cubic(g, (I_GRAPH, DP_GRAPH))
     return Rejection("not-cubic", "degree/order pattern fits no supported family")

@@ -5,6 +5,7 @@ from cyclereg.cli import (
     MAX_ANALYZE_M,
     MAX_CUBIC_TABLE_N,
     MAX_FQ_TABLE_N,
+    MAX_GRAPH6_VERTICES,
     _parse_range,
     _too_large,
     main,
@@ -224,6 +225,24 @@ def test_generate_and_bench_refuse_members_over_the_cap(monkeypatch, capsys, arg
     assert code == 2 and out == ""
     assert len(err.strip().splitlines()) == 1
     assert f"more than {MAX_EDGE_LIST_VERTICES} vertices" in err
+
+
+@pytest.mark.parametrize("family,at_cap", [
+    ("fq", [13]), ("q", [12]), ("i", [MAX_GRAPH6_VERTICES // 2, 1, 2]),
+    ("gp", [MAX_GRAPH6_VERTICES // 2, 2]), ("dp", [MAX_GRAPH6_VERTICES // 4, 3]),
+])
+def test_generate_graph6_refuses_members_over_its_cap(monkeypatch, capsys, family, at_cap):
+    # graph6 holds one bit per vertex pair, so its cap is far below the
+    # edge-list cap; one step above it is refused from the parameters
+    assert MAX_GRAPH6_VERTICES == 4096 and _too_large(family, at_cap[0]) is None
+    assert _too_large(family, at_cap[0], MAX_GRAPH6_VERTICES) is None
+    for name in ("member_edges", "_cube_edges", "build_graph"):
+        monkeypatch.setattr(families, name, lambda *a, name=name: pytest.fail(f"{name} was called"))
+    over = [str(at_cap[0] + 1), *map(str, at_cap[1:])]
+    code, out, err = run(capsys, "generate", family, *over, "--format", "graph6")
+    assert code == 2 and out == ""
+    assert err.splitlines() == [f"parameter error: family {family!r} with n = {over[0]} "
+                                f"has more than {MAX_GRAPH6_VERTICES} vertices for graph6"]
 
 
 def test_vertex_cap_boundary():

@@ -1,4 +1,5 @@
 import dataclasses
+import functools
 import hashlib
 import importlib.util
 import random
@@ -134,10 +135,9 @@ def test_extend_i_cycle_collection_shape():
     assert cert.canonical_params == (12, 2, 3)
     # the complement of the spokes splits into 2 outer 6-cycles and
     # 3 inner 4-cycles (gcd structure)
-    from cyclereg.recognition import _f_cycles, _f_neighbors, _matching_partner
+    from cyclereg.recognition import _frame
 
-    partner = _matching_partner(g, spokes)
-    cycles = _f_cycles(_f_neighbors(g, partner))
+    _, _, cycles = _frame(g, spokes)
     lengths = sorted(len(c) for c in cycles)
     assert lengths == [4, 4, 4, 6, 6]
 
@@ -208,25 +208,26 @@ def test_spoke_swapped_multi_rim_near_misses():
     assert accepted > 0
 
 
+def _pin(digest, res):
+    """Add (family, params, canonical params, labeling) of a certificate to
+    a digest: a change that keeps the certificates keeps the digest."""
+    cert = _accept(res)
+    key = (cert.family, cert.params, cert.canonical_params, sorted(cert.labeling.items()))
+    digest.update(repr(key).encode())
+
+
 def test_certificates_pinned():
-    # one digest over (family, params, canonical params, labeling) of every
-    # input below: a change that keeps the certificates keeps the digest
     digest = hashlib.sha256()
-
-    def add(res):
-        cert = _accept(res)
-        key = (cert.family, cert.params, cert.canonical_params, sorted(cert.labeling.items()))
-        digest.update(repr(key).encode())
-
     for n in range(3, 25):
         for j in range(1, (n + 1) // 2):
             for k in range(1, (n + 1) // 2):
-                add(recognize(shuffled(generate_i_graph(IParams(n, j, k)), n * 997 + j * 31 + k)))
+                g = shuffled(generate_i_graph(IParams(n, j, k)), n * 997 + j * 31 + k)
+                _pin(digest, recognize(g))
     for n in range(3, 15):
         for k in range(1, (n + 1) // 2):
-            add(recognize_dp(shuffled(generate_dp(DPParams(n, k)), n * 997 + k)))
+            _pin(digest, recognize_dp(shuffled(generate_dp(DPParams(n, k)), n * 997 + k)))
     for p in (IParams(60, 4, 15), IParams(1200, 4, 9)):
-        add(recognize(shuffled(generate_i_graph(p), p.n * 997 + p.j * 31 + p.k)))
+        _pin(digest, recognize(shuffled(generate_i_graph(p), p.n * 997 + p.j * 31 + p.k)))
     assert digest.hexdigest() == "e3c88685b58f9e0ca8303b27324eb385ec40a437a53d4bc68086683e23fcba98"
 
 
@@ -281,6 +282,71 @@ def test_dp_minimum_rank_parametrization_pinned(n, k, expected):
             cert = _accept(recognizer(g))
             assert cert.family == "dp-graph"
             assert cert.params == cert.canonical_params == expected
+
+
+def test_dp_certificates_pinned_beyond_n_14():
+    # every DP(n,k) with 15 <= n <= 40 under one relabeling; this holds every
+    # k = n/4 member, where both arcs of the x-rim give k and the frame's
+    # orientation of the x-rim decides which walk comes first
+    digest = hashlib.sha256()
+    for n in range(15, 41):
+        for k in range(1, (n + 1) // 2):
+            _pin(digest, recognize_dp(shuffled(generate_dp(DPParams(n, k)), n * 997 + k)))
+    assert digest.hexdigest() == "4ba577e0fa18b98c19541bfa0a8c6d4cca582de73a257bd6d2183a79dc0cb723"
+
+
+def _dp_adjacent(n, k, a, b):
+    """DP(n,k) adjacency from the definition, on u, w, x, y at offsets 0, n,
+    2n, 3n: the u- and x-rims, the spokes u_i w_i and x_i y_i, and the
+    crossed inner edges w_i y_{i+k}, y_i w_{i+k}."""
+    (sa, i), (sb, j) = sorted((divmod(a, n), divmod(b, n)))
+    d = (j - i) % n
+    if sa == sb:
+        return sa in (0, 2) and d in (1, n - 1)
+    if (sa, sb) in ((0, 1), (2, 3)):
+        return d == 0
+    return (sa, sb) == (1, 3) and d in (k, n - k)
+
+
+@functools.cache
+def _short_cycle_profile(edges):
+    """The sorted per-vertex counts of 3- to 6-cycles, an isomorphism
+    invariant."""
+    import networkx as nx
+
+    counts = {}
+    for cycle in nx.simple_cycles(nx.Graph(edges), length_bound=6):
+        for v in cycle:
+            counts.setdefault(v, [0] * 4)[len(cycle) - 3] += 1
+    return sorted(map(tuple, counts.values()))
+
+
+@settings(max_examples=200, deadline=None)
+@given(n=st.integers(3, 15), switches=st.integers(0, 3), seed=st.integers(0, 2**32))
+def test_dp_near_misses_against_networkx(n, switches, seed):
+    # DP(n,k) after 0-3 random 2-switches, relabeled: recognize_dp accepts
+    # exactly when the graph is isomorphic to some DP(n,k'), with a
+    # certificate that replays against the rule above.  A rejection is
+    # proven by the short-cycle counts, and by VF2++ where they agree
+    nx = pytest.importorskip("networkx")
+    rng = random.Random(seed)
+    member = generate_dp(DPParams(n, rng.randint(1, (n - 1) // 2)))
+    edges = set(member.edges())
+    for _ in range(switches):
+        edges = _two_switch(edges, rng)
+    g = shuffled(build_graph(member.n, sorted(edges)), seed)
+    res = recognize_dp(g)
+    if isinstance(res, Certificate):
+        assert res.family == "dp-graph" and res.params[0] == n
+        ids = {v: "uwxy".index(name[0]) * n + int(name[1:]) for v, name in res.labeling.items()}
+        assert sorted(ids) == sorted(ids.values()) == list(range(g.n))
+        assert all(_dp_adjacent(n, res.params[1], ids[a], ids[b]) for a, b in g.edges())
+        return
+    profile = _short_cycle_profile(tuple(g.edges()))
+    for k in range(1, (n + 1) // 2):
+        other = tuple(generate_dp(DPParams(n, k)).edges())
+        assert profile != _short_cycle_profile(other) or not nx.vf2pp_is_isomorphic(
+            nx.Graph(list(g.edges())), nx.Graph(other)), (k, res)
 
 
 def test_dp_rejects_petersen():
@@ -577,6 +643,50 @@ def test_verify_certificate_order_and_size_guards():
     identity = {v: v for v in range(pet.n)}
     assert _replays(pet, IParams(5, 1, 2), identity)
     assert not _replays(build_graph(11, list(pet.edges())), IParams(5, 1, 2), identity)
+
+
+def test_verify_certificate_rejects_forged_canonical_params():
+    # the CLI prints the canonical parameters, so they are checked too
+    g = generate_gp(5, 2)
+    cert = _accept(recognize_i_graph(g))
+    assert verify_certificate(g, dataclasses.replace(cert, canonical_params=[5, 1, 2]))
+    for canon in ((99, 7, 1), (5, 2, 1), None):
+        assert not verify_certificate(g, dataclasses.replace(cert, canonical_params=canon))
+    dp = generate_dp(DPParams(10, 3))
+    cert = _accept(recognize_dp(dp))
+    assert cert.params == cert.canonical_params == (10, 2)
+    assert not verify_certificate(dp, dataclasses.replace(cert, params=(10, 3)))
+
+
+def test_verify_certificate_rejects_extra_keys():
+    g = generate_gp(5, 2)
+    cert = _accept(recognize_i_graph(g))
+    for extra in ({10: "u0"}, {-1: "w3"}, {"0": "u0"}):
+        labeling = {**cert.labeling, **extra}
+        assert not verify_certificate(g, dataclasses.replace(cert, labeling=labeling)), extra
+
+
+def test_verify_certificate_malformed_names_are_false():
+    g = generate_gp(5, 2)
+    cert = _accept(recognize_i_graph(g))
+    v = next(v for v, name in cert.labeling.items() if name == "u0")
+    for name in (["u0"], {"u0"}, None, 0):
+        labeling = {**cert.labeling, v: name}
+        assert verify_certificate(g, dataclasses.replace(cert, labeling=labeling)) is False, name
+    assert verify_certificate(g, dataclasses.replace(cert, labeling=None)) is False
+
+
+def test_replays_checks_the_bijection_before_building_edges(monkeypatch):
+    import cyclereg.recognition as recognition
+
+    calls = []
+    member_edges_ = recognition.member_edges
+    monkeypatch.setattr(recognition, "member_edges", lambda p: calls.append(p) or member_edges_(p))
+    pet, p = generate_gp(5, 2), IParams(5, 1, 2)
+    assert not recognition._replays(pet, p, {v: v // 2 for v in range(pet.n)})
+    assert calls == []
+    assert recognition._replays(pet, p, {v: v for v in range(pet.n)})
+    assert calls == [p]
 
 
 def test_verify_certificate_huge_fq_dimension_builds_no_order():
