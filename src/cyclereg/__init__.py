@@ -7,7 +7,6 @@ from .cycles import (
     Path,
     PathTooLongError,
     RegularityReport,
-    count_cycles,
     count_cycles_through_path,
     octagon_partition,
     octagon_value,

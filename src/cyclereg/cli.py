@@ -124,12 +124,12 @@ def _read_graph(path: str) -> LabeledGraph:
             text = fh.read()
     for line in text.splitlines():
         line = line.strip()
-        if not line or line.startswith("#"):
-            continue
-        if line[0].isdigit():
-            return parse_edge_list(text)
-        return decode_graph6(line)
-    raise ParseError("empty input")
+        if line and not line.startswith("#"):
+            break
+    else:
+        raise ParseError("empty input")
+    # parsed after the loop, so that the sniffed lines are gone by then
+    return parse_edge_list(text) if line[0].isdigit() else decode_graph6(line)
 
 
 def _describe(cert: Certificate) -> str:

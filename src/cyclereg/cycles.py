@@ -288,13 +288,3 @@ def regularity_scan(g: LabeledGraph, l: int, m: int) -> RegularityReport:
     # graphs with no paths of this length are vacuously regular with 0
     return RegularityReport(l, m, first_count if first_path is not None else 0)
 
-
-def count_cycles(g: LabeledGraph, m: int) -> int:
-    """Total number of m-cycles in the graph.
-
-    Every m-cycle passes through exactly m vertices, so summing the
-    anchored per-vertex counts and dividing by m is exact.
-    """
-    total = sum(count_cycles_through_path(g, (v,), m) for v in range(g.n))
-    assert total % m == 0
-    return total // m

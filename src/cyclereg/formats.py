@@ -1,8 +1,9 @@
 """Graph serialization: a human-diffable edge-list format and graph6.
 
 Edge list: header line "n m", then m lines "u v" with 0-based ids; lines
-starting with '#' are comments.  Emitting sorted edges makes the
-parse/emit round-trip byte-identical.
+starting with '#' are comments.  Edges are emitted in the lexicographic
+order of `LabeledGraph.edges`, which makes the parse/emit round-trip
+byte-identical.
 
 graph6: the standard ASCII encoding (6-bit chunks offset by 63, upper
 triangle in column order), one graph per line.
@@ -10,10 +11,12 @@ triangle in column order), one graph per line.
 
 from __future__ import annotations
 
-from .graph import Edge, LabeledGraph, build_graph
+from typing import Iterator
+
+from .graph import Edge, LabeledGraph, _adjacency, build_graph
 
 #: Largest vertex count an edge-list header may ask for; checked before any
-#: allocation, since build_graph allocates one adjacency list per vertex.
+#: allocation, since the graph holds a few pointers per vertex.
 MAX_EDGE_LIST_VERTICES = 1 << 22
 
 
@@ -26,43 +29,57 @@ class ParseError(ValueError):
 
 def emit_edge_list(g: LabeledGraph) -> str:
     lines = [f"{g.n} {g.m}"]
-    lines.extend(f"{u} {v}" for u, v in sorted(g.edges()))
+    lines.extend(f"{u} {v}" for u, v in g.edges())
     return "\n".join(lines) + "\n"
 
 
 def parse_edge_list(text: str) -> LabeledGraph:
-    header: tuple[int, int] | None = None
-    edges: list[Edge] = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        fields = line.split()
-        if len(fields) != 2:
-            raise ParseError(f"expected two integers, got {line!r}", lineno)
+    pairs = _pairs(text.splitlines())  # the lines go when the walk ends
+    n, m = next(pairs, (-1, 0))
+    if n < 0:
+        raise ParseError("missing 'n m' header line")
+    g = _adjacency(n, pairs)
+    if g is None:
+        # a bad edge: walk the lines again, so that a later line that is
+        # not two integers and then the edge count are reported first, and
+        # then build_graph's message for the first bad edge
+        edges = list(_pairs(text.splitlines()))[1:]
+        _check_count(m, len(edges))
         try:
-            a, b = int(fields[0]), int(fields[1])
+            return build_graph(n, edges)
+        except ValueError as exc:
+            raise ParseError(str(exc)) from None
+    _check_count(m, g.m)
+    return g
+
+
+def _pairs(lines: list[str]) -> Iterator[Edge]:
+    """The two integers of each line that is not blank or a comment, the
+    first of them the checked 'n m' header."""
+    header = True
+    for lineno, raw in enumerate(lines, start=1):
+        fields = raw.split()
+        if not fields or fields[0].startswith("#"):
+            continue
+        try:
+            a, b = fields
+            a, b = int(a), int(b)
         except ValueError:
-            raise ParseError(f"expected two integers, got {line!r}", lineno) from None
-        if header is None:
+            raise ParseError(f"expected two integers, got {raw.strip()!r}", lineno) from None
+        if header:
             if a < 0 or b < 0:
                 raise ParseError("header counts must be nonnegative", lineno)
             if a > MAX_EDGE_LIST_VERTICES:
                 raise ParseError(
                     f"header asks for {a} vertices, more than {MAX_EDGE_LIST_VERTICES}", lineno
                 )
-            header = (a, b)
-        else:
-            edges.append((a, b))
-    if header is None:
-        raise ParseError("missing 'n m' header line")
-    n, m = header
-    if len(edges) != m:
-        raise ParseError(f"header promised {m} edges, found {len(edges)}")
-    try:
-        return build_graph(n, edges)
-    except ValueError as exc:
-        raise ParseError(str(exc)) from None
+            header = False
+        yield a, b
+
+
+def _check_count(m: int, found: int) -> None:
+    if found != m:
+        raise ParseError(f"header promised {m} edges, found {found}")
 
 
 def _g6_number(n: int) -> bytes:
@@ -118,12 +135,15 @@ def decode_graph6(line: str) -> LabeledGraph:
     need = (n * (n - 1) // 2 + 5) // 6
     if len(data) - idx != need:
         raise ParseError(f"expected {need} payload bytes, got {len(data) - idx}")
-    edges: list[Edge] = []
+    # graph6 holds each pair row < col once, so the builder refuses nothing
+    return _adjacency(n, _g6_edges(n, data, idx))
+
+
+def _g6_edges(n: int, data: list[int], idx: int) -> Iterator[Edge]:
     pos = 0
     for col in range(1, n):
         for row in range(col):
             byte = data[idx + pos // 6]
             if (byte >> (5 - pos % 6)) & 1:
-                edges.append((row, col))
+                yield row, col
             pos += 1
-    return build_graph(n, edges)

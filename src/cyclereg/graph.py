@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from dataclasses import dataclass
-from typing import Iterator, Sequence
+from typing import Iterable, Iterator, Sequence
 
 Edge = tuple[int, int]
 
@@ -68,7 +68,10 @@ def build_graph(n: int, edges: Sequence[tuple[int, int]]) -> LabeledGraph:
     """Build a simple graph, rejecting self-loops, duplicates and bad ids."""
     if n < 0:
         raise VertexOutOfRangeError("vertex count must be nonnegative")
-    adj: list[list[int]] = [[] for _ in range(n)]
+    g = _adjacency(n, edges)
+    if g is not None:
+        return g
+    # refused: walk the edges again to name the first bad one in input order
     seen: set[int] = set()  # u * n + v for each edge, u < v
     for u, v in edges:
         if not (0 <= u < n and 0 <= v < n):
@@ -79,9 +82,42 @@ def build_graph(n: int, edges: Sequence[tuple[int, int]]) -> LabeledGraph:
         if key in seen:
             raise DuplicateEdgeError(f"duplicate edge {_norm(u, v)}")
         seen.add(key)
-        adj[u].append(v)
-        adj[v].append(u)
-    return LabeledGraph(n=n, adj=tuple(tuple(sorted(nbrs)) for nbrs in adj))
+    raise AssertionError("_adjacency refused a simple edge list")
+
+
+def _adjacency(n: int, edges: Iterable[tuple[int, int]]) -> LabeledGraph | None:
+    """The graph of `edges` in one pass, or None if an edge has a bad id, is
+    a self-loop or repeats one before it.
+
+    Every occurrence of a vertex id in the adjacency is one int object, the
+    first one seen, so lookups keyed by ids hit on identity; and a vertex
+    gets a neighbour list only once it has an edge, so a large n costs a
+    few pointers per vertex.  Self-loops and repeats are found at the end,
+    as a neighbour list that holds some vertex twice.
+    """
+    adj: list[list[int] | None] = [None] * n
+    ids: list[int | None] = [None] * n
+    for u, v in edges:
+        if not (0 <= u < n and 0 <= v < n):
+            return None
+        nu = adj[u]
+        if nu is None:
+            adj[u] = nu = []
+            ids[u] = u
+        else:
+            u = ids[u]
+        nv = adj[v]
+        if nv is None:
+            adj[v] = nv = []
+            ids[v] = v
+        else:
+            v = ids[v]
+        nu.append(v)
+        nv.append(u)
+    del ids
+    if sum(map(len, map(set, filter(None, adj)))) != sum(map(len, filter(None, adj))):
+        return None
+    return LabeledGraph(n=n, adj=tuple(() if nbrs is None else tuple(sorted(nbrs)) for nbrs in adj))
 
 
 def is_regular(g: LabeledGraph, k: int) -> bool:

@@ -1,8 +1,19 @@
 import random
+import tracemalloc
 
 from hypothesis import settings
 
-from cyclereg import DPParams, LabeledGraph, build_graph
+from cyclereg import (
+    DPParams,
+    DuplicateEdgeError,
+    LabeledGraph,
+    ParseError,
+    SelfLoopError,
+    VertexOutOfRangeError,
+    build_graph,
+    count_cycles_through_path,
+)
+from cyclereg.formats import MAX_EDGE_LIST_VERTICES
 
 # keep the randomized suites reproducible run to run
 settings.register_profile("repro", derandomize=True)
@@ -65,6 +76,17 @@ def enumerate_cycles(g: LabeledGraph, m: int) -> list[tuple[int, ...]]:
     return out
 
 
+def count_cycles(g: LabeledGraph, m: int) -> int:
+    """Total number of m-cycles in the graph, from the oracle.
+
+    Every m-cycle passes through exactly m vertices, so summing the
+    anchored per-vertex counts and dividing by m is exact.
+    """
+    total = sum(count_cycles_through_path(g, (v,), m) for v in range(g.n))
+    assert total % m == 0
+    return total // m
+
+
 class OddNError(ValueError):
     pass
 
@@ -84,3 +106,81 @@ def dp_twin_map(p: DPParams) -> dict[int, int]:
         mapping[2 * n + i] = 2 * n + (i + half) % n
         mapping[3 * n + i] = 3 * n + (i + half) % n
     return mapping
+
+
+def reference_build_graph(n: int, edges) -> LabeledGraph:
+    """`build_graph` as a two-pass reader had it: one key set of the edges,
+    then a sorted copy of each neighbour list.  The property tests hold the
+    one-pass builder to it, graph for graph and error for error."""
+    if n < 0:
+        raise VertexOutOfRangeError("vertex count must be nonnegative")
+    adj: list[list[int]] = [[] for _ in range(n)]
+    seen: set[int] = set()
+    for u, v in edges:
+        if not (0 <= u < n and 0 <= v < n):
+            raise VertexOutOfRangeError(f"edge ({u},{v}) outside 0..{n - 1}")
+        if u == v:
+            raise SelfLoopError(f"self-loop at vertex {u}")
+        key = u * n + v if u < v else v * n + u
+        if key in seen:
+            raise DuplicateEdgeError(f"duplicate edge {(min(u, v), max(u, v))}")
+        seen.add(key)
+        adj[u].append(v)
+        adj[v].append(u)
+    return LabeledGraph(n=n, adj=tuple(tuple(sorted(nbrs)) for nbrs in adj))
+
+
+def reference_parse_edge_list(text: str) -> LabeledGraph:
+    """`parse_edge_list` as a two-pass reader had it: a list of every edge,
+    then `reference_build_graph`."""
+    header = None
+    edges = []
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        line = raw.strip()
+        if not line or line.startswith("#"):
+            continue
+        fields = line.split()
+        if len(fields) != 2:
+            raise ParseError(f"expected two integers, got {line!r}", lineno)
+        try:
+            a, b = int(fields[0]), int(fields[1])
+        except ValueError:
+            raise ParseError(f"expected two integers, got {line!r}", lineno) from None
+        if header is None:
+            if a < 0 or b < 0:
+                raise ParseError("header counts must be nonnegative", lineno)
+            if a > MAX_EDGE_LIST_VERTICES:
+                raise ParseError(
+                    f"header asks for {a} vertices, more than {MAX_EDGE_LIST_VERTICES}", lineno
+                )
+            header = (a, b)
+        else:
+            edges.append((a, b))
+    if header is None:
+        raise ParseError("missing 'n m' header line")
+    n, m = header
+    if len(edges) != m:
+        raise ParseError(f"header promised {m} edges, found {len(edges)}")
+    try:
+        return reference_build_graph(n, edges)
+    except ValueError as exc:
+        raise ParseError(str(exc)) from None
+
+
+def outcome(fn, *args):
+    """What `fn(*args)` gives: its value, or the class, message and line of
+    what it raises."""
+    try:
+        return fn(*args)
+    except ValueError as exc:
+        return type(exc), str(exc), getattr(exc, "line", None)
+
+
+def peak_memory(fn, *args) -> int:
+    """tracemalloc's peak, in bytes, over one call of `fn(*args)`."""
+    tracemalloc.start()
+    try:
+        fn(*args)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()

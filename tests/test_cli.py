@@ -1,16 +1,18 @@
 import pytest
 
-from cyclereg import cli, families, generate_gp
+from conftest import peak_memory, shuffled
+from cyclereg import FQParams, cli, families, generate_folded_cube, generate_gp
 from cyclereg.cli import (
     MAX_ANALYZE_M,
     MAX_CUBIC_TABLE_N,
     MAX_FQ_TABLE_N,
     MAX_GRAPH6_VERTICES,
     _parse_range,
+    _read_graph,
     _too_large,
     main,
 )
-from cyclereg.formats import MAX_EDGE_LIST_VERTICES, decode_graph6, parse_edge_list
+from cyclereg.formats import MAX_EDGE_LIST_VERTICES, decode_graph6, emit_edge_list, parse_edge_list
 
 
 def run(capsys, *argv):
@@ -90,6 +92,16 @@ def test_non_utf8_input_exit_2(tmp_path, capsys, command):
         code, out, err = run(capsys, command, str(path))
         assert code == 2 and out == ""
         assert len(err.strip().splitlines()) == 1 and "parse error" in err
+
+
+def test_read_graph_sniffs_without_holding_the_lines(tmp_path):
+    # the sniffed lines are gone before the parse: the peak is the parse's
+    # own, plus the text read from the file
+    text = emit_edge_list(shuffled(generate_folded_cube(FQParams(12)), 1))
+    path = tmp_path / "fq12.txt"
+    path.write_text(text)
+    assert _read_graph(str(path)) == parse_edge_list(text)
+    assert peak_memory(_read_graph, str(path)) < 1.2 * peak_memory(parse_edge_list, text)
 
 
 def test_analyze_petersen(tmp_path, capsys):

@@ -12,7 +12,6 @@ from cyclereg import (
     NotCubicError,
     PathTooLongError,
     build_graph,
-    count_cycles,
     count_cycles_through_path,
     generate_dp,
     generate_folded_cube,
@@ -23,7 +22,7 @@ from cyclereg import (
     regularity_scan,
 )
 
-from conftest import enumerate_cycles, random_cubic
+from conftest import count_cycles, enumerate_cycles, random_cubic
 
 PETERSEN = generate_gp(5, 2)
 FQ4 = generate_folded_cube(FQParams(4))

@@ -9,7 +9,6 @@ from cyclereg import (
     ParamOutOfRangeError,
     canonical_i_params,
     connected_components,
-    count_cycles,
     dp_even_twin,
     find_isomorphism,
     generate_dp,
@@ -20,7 +19,7 @@ from cyclereg import (
     is_regular,
 )
 
-from conftest import dp_twin_map
+from conftest import count_cycles, dp_twin_map
 
 
 # edge roles read off the id convention: u_i = i, w_i = n + i (I and DP),

@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import outcome, peak_memory, reference_parse_edge_list
 from cyclereg import build_graph, generate_gp
 from cyclereg import formats
 from cyclereg.formats import (
@@ -91,3 +92,85 @@ def test_graph6_errors():
         decode_graph6("")
     with pytest.raises(ParseError):
         decode_graph6("I" + "~" * 2)  # wrong payload length
+
+
+#: Tokens that int() reads in its own way, or not at all.
+ODD_TOKENS = ["+5", "1_0", "-0", "007", "-1", "-3", str(2**63), str(2**63 + 1), str(-(2**64)),
+              "x", "1.0", "0x1", "_1", "1__0", "\u0663", "#"]
+
+
+@st.composite
+def edge_list_texts(draw):
+    """Edge lists, most of them valid: comments, blank lines, tabs, CRLF and
+    other line breaks, odd integer spellings, wrong field counts,
+    self-loops, repeats in either orientation and headers over the cap."""
+    rare = st.sampled_from([False] * 9 + [True])  # true one time in ten
+    n = draw(st.sampled_from([MAX_EDGE_LIST_VERTICES + 1, 2**64]) if draw(rare) else st.integers(0, 8))
+    ids = st.integers(0, min(n, 9) - 1 if n else 0).map(str)
+    if draw(st.booleans()) and n < 9:  # a simple graph, each edge in either orientation
+        pairs = draw(st.lists(st.tuples(ids, ids).filter(lambda e: e[0] != e[1]),
+                              unique_by=lambda e: frozenset(e)))
+        body = [list(e) for e in pairs]
+    else:  # self-loops, repeats, and now and then a bad id or a line that is not two integers
+        token = st.one_of(ids, st.integers(-2, 10).map(str), st.sampled_from(ODD_TOKENS))
+        near = st.integers(-1, min(n, 9)).map(str)  # one step out of range on either side
+        pair = st.lists(st.one_of(*[ids] * 8, near), min_size=2, max_size=2)
+        odd = st.lists(token, max_size=3)
+        body = draw(st.lists(st.one_of(*[pair] * 12, odd), max_size=12))
+    m = len(body) + draw(st.sampled_from([0, 0, 0, 0, -1, 1]))
+    header = [str(n), str(m)]
+    if draw(rare):
+        header = draw(st.sampled_from([[str(n)], [str(n), str(m), "0"], [str(n), "-1"], ["x", str(m)]]))
+    comment = st.sampled_from(["# a comment", "#", "  # 1 2", ""])
+    lines = draw(st.lists(comment, max_size=2)) + [header] + body
+    out = []
+    pad = st.sampled_from(["", "", " ", "\t"])
+    for fields in lines:
+        if isinstance(fields, list):
+            fields = draw(st.sampled_from([" ", "\t", "  ", " \t"])).join(fields)
+        if draw(rare):
+            out.append(draw(comment))
+        out.append(draw(pad) + fields + draw(pad))
+    ends = st.sampled_from(["\n"] * 6 + ["\r\n", "\r", "\x0c", "\u2028"])
+    return "".join(line + draw(ends) for line in out)
+
+
+@settings(max_examples=400, deadline=None)
+@given(edge_list_texts())
+def test_parse_edge_list_equals_the_two_pass_reader(text):
+    # the same graph, or the same error class, message and line number
+    assert outcome(parse_edge_list, text) == outcome(reference_parse_edge_list, text)
+
+
+def test_parse_edge_list_reports_errors_in_input_order():
+    # a bad edge early does not hide a later syntax error or a wrong count
+    for text, message in [
+        ("3 2\n0 5\n0 1 2\n", "line 3: expected two integers, got '0 1 2'"),
+        ("3 3\n0 0\n0 1\n", "header promised 3 edges, found 2"),
+        ("3 3\n0 1\n1 2\n2 1\n", "duplicate edge (1, 2)"),
+        ("3 3\n1 0\n1 1\n2 7\n", "self-loop at vertex 1"),
+    ]:
+        with pytest.raises(ParseError) as info:
+            parse_edge_list(text)
+        assert str(info.value) == message
+        assert outcome(reference_parse_edge_list, text)[1] == message
+
+
+def test_edge_list_header_allocates_per_vertex_pointers_only():
+    # a vertex gets a neighbour list only once it has an edge
+    assert parse_edge_list("200000 0\n").n == 200000
+    peak = peak_memory(parse_edge_list, "200000 0\n")
+    assert peak < 8e6, peak
+
+
+def test_every_vertex_id_is_one_object():
+    # ids above 256 are not cached by the interpreter; one object per id
+    # lets lookups keyed by vertex ids hit on identity
+    g = generate_gp(300, 2)
+    for h in (g, parse_edge_list(emit_edge_list(g)), decode_graph6(encode_graph6(g))):
+        assert h == g
+        first: dict[int, int] = {}
+        for nbrs in h.adj:
+            for v in nbrs:
+                assert first.setdefault(v, id(v)) == id(v)
+        assert len(first) == g.n

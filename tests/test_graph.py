@@ -11,13 +11,14 @@ from cyclereg import (
     bfs,
     build_graph,
     connected_components,
-    count_cycles,
     generate_folded_cube,
     generate_gp,
     generate_i_graph,
     induced_subgraph,
     is_regular,
 )
+
+from conftest import count_cycles, outcome, reference_build_graph
 
 PETERSEN = generate_gp(5, 2)
 
@@ -127,6 +128,42 @@ def test_adjacency_symmetry_and_sortedness(ne):
         assert list(g.adj[u]) == sorted(g.adj[u])
         for v in g.adj[u]:
             assert u in g.adj[v]
+
+
+
+@st.composite
+def edge_sequences_with_bad_edges(draw):
+    """A simple edge list with one to three bad edges put in anywhere: a
+    self-loop, a repeat in either orientation, or an id out of range."""
+    n, edges = draw(edge_sets())
+    edges = [(b, a) if draw(st.booleans()) else (a, b) for a, b in edges]
+    for _ in range(draw(st.integers(1, 3))):
+        kind = draw(st.sampled_from(["loop", "repeat", "range"]))
+        if kind == "repeat" and edges:
+            a, b = draw(st.sampled_from(edges))
+            bad = draw(st.sampled_from([(a, b), (b, a)]))
+        elif kind == "range":
+            bad = draw(st.tuples(st.sampled_from([-1, n, n + 5, 2**64]), st.integers(-1, n)))
+            bad = draw(st.sampled_from([bad, bad[::-1]]))
+        else:
+            v = draw(st.integers(0, n - 1))
+            bad = (v, v)
+        edges.insert(draw(st.integers(0, len(edges))), bad)
+    return n, edges
+
+
+@settings(max_examples=300, deadline=None)
+@given(edge_sequences_with_bad_edges())
+def test_build_graph_names_the_first_bad_edge_like_the_two_pass_reader(ne):
+    expected = outcome(reference_build_graph, *ne)
+    assert isinstance(expected, tuple)  # every sequence holds a bad edge
+    assert outcome(build_graph, *ne) == expected
+
+
+@settings(max_examples=100, deadline=None)
+@given(edge_sets())
+def test_build_graph_equals_the_two_pass_reader(ne):
+    assert build_graph(*ne) == reference_build_graph(*ne)
 
 
 @settings(max_examples=40, deadline=None)

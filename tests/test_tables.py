@@ -117,7 +117,7 @@ def test_tau_gamma_bookkeeping():
 def test_gamma_counts_match_census():
     # the number of 8-cycles equals the sum of orbit sizes of the present
     # classes; cross-check against the oracle census
-    from cyclereg import count_cycles
+    from conftest import count_cycles
 
     for p in [IParams(5, 1, 2), IParams(8, 1, 3), IParams(12, 1, 5), IParams(6, 1, 1)]:
         total = sum(
