@@ -169,8 +169,8 @@ def cmd_recognize(args: argparse.Namespace) -> int:
 
 #: Largest cycle length `analyze` scans.  `regularity_scan` costs grow
 #: exponentially in m: on FQ_6 (32 vertices) with --l 1 the scan takes
-#: about 0.2 s at m = 8, 4 s at m = 10 and 75 s at m = 12 (2-core VM,
-#: Python 3.11).  The paper's constants need m <= 8.
+#: about 0.05 s at m = 8, 0.3-0.6 s at m = 10 and 5-6 s at m = 12 (2-core
+#: VM, Python 3.11).  The paper's constants need m <= 8.
 MAX_ANALYZE_M = 10
 
 
@@ -209,7 +209,8 @@ def cmd_analyze(args: argparse.Namespace) -> int:
 #: Largest dimension the FQ table scans (fq4, fq6, fq26, fq8conj) reach.
 #: They count cycles in FQ_n by brute force, at a cost that grows faster
 #: than the 2^(n-1) vertices: on a 2-core VM the fq8conj check takes about
-#: 20 s at FQ_9 alone, and fq26 10 s at FQ_11, 3.5 times its FQ_10 time.
+#: 1.5 s at FQ_9 alone and 5 s at FQ_10, and fq26 1.7 s at FQ_11, 3.5
+#: times its FQ_10 time.  The cap stays 9 so that each --max-n keeps its exit code.
 MAX_FQ_TABLE_N = 9
 
 #: Largest n the I and DP table scans (5, 8) reach.  Their grids hold on the

@@ -6,10 +6,11 @@ independent of the analytic predictions in `tables`: it anchors a seed
 path and extends it by depth-first search, pruned by BFS distance to the
 seed's first vertex, so any agreement between the two is evidence, not
 tautology.  The last two steps are counted rather than searched: they
-close the cycle through a neighbour of the first vertex.  The scans use
-it.  `octagon_partition`, which recognition uses, counts the 8-cycles of
-every edge at once with a whole-graph join of 4-edge paths instead; the
-tests check it against the oracle.
+close the cycle through a neighbour of the first vertex.  The I and DP
+table scans use it.  `octagon_partition` (recognition) and
+`regularity_scan` (the FQ table scans, `analyze`) count the cycles of
+every edge or path at once with split-path joins instead; the tests check
+both against the oracle.
 """
 
 from __future__ import annotations
@@ -263,24 +264,22 @@ def _paths_of_length(g: LabeledGraph, l: int) -> Iterator[Path]:
 def regularity_scan(g: LabeledGraph, l: int, m: int) -> RegularityReport:
     """Check whether every path on l+1 vertices lies on the same number of
     m-cycles; early-exits with a two-path witness on the first mismatch.
+
+    The counts come from `_join`, one smallest vertex s at a time.  A
+    cycle's smallest vertex is at most every vertex of each path on it, so
+    once every s up to a path's first vertex is joined, its count is final.
     """
     if not 0 <= l < m or m < 3:
         raise ValueError(f"need 0 <= l < m and m >= 3, got l={l}, m={m}")
-    adj = g.adj
-    remaining = m - l
+    counts: dict[Path, int] = {}
+    joined = 0
     first_path: Path | None = None
     first_count = 0
-    source = -1
-    dist: dict[int, int] = {}
-    # the paths come grouped by their first vertex, the BFS source
     for p in _paths_of_length(g, l):
-        if remaining == 1:
-            c = 1 if g.has_edge(p[-1], p[0]) else 0
-        else:
-            if p[0] != source:
-                source = p[0]
-                dist = bfs(adj, source, _radius(m, remaining))
-            c = _count(adj, p, remaining, dist)
+        while joined <= p[0]:
+            _join(g.adj, joined, l, m, counts)
+            joined += 1
+        c = counts.pop(p, 0)
         if first_path is None:
             first_path, first_count = p, c
         elif c != first_count:
@@ -288,3 +287,60 @@ def regularity_scan(g: LabeledGraph, l: int, m: int) -> RegularityReport:
     # graphs with no paths of this length are vacuously regular with 0
     return RegularityReport(l, m, first_count if first_path is not None else 0)
 
+
+def _halves(adj: Sequence[Sequence[int]], s: int, h: int) -> dict[int, list[Path]]:
+    """The paths of h edges from s whose other vertices all exceed s, by
+    their end."""
+    paths: list[Path] = [(s,)]
+    for _ in range(h):
+        paths = [p + (w,) for p in paths for w in adj[p[-1]] if w > s and w not in p]
+    out: dict[int, list[Path]] = {}
+    for p in paths:
+        out.setdefault(p[-1], []).append(p)
+    return out
+
+
+def _join(adj: Sequence[Sequence[int]], s: int, l: int, m: int, counts: dict[Path, int]) -> None:
+    """Add the m-cycles whose smallest vertex is s to the `counts` of the
+    paths on l+1 vertices (windows) that lie on them.
+
+    Such a cycle is one pair of halves s..t of m // 2 and m - m // 2 edges
+    with disjoint interiors, the one with the smaller first vertex first,
+    as in `octagon_partition`.  Each half's number of partners is credited
+    to the windows inside it, and each pair credits the 2(l - 1) windows
+    (for 1 <= l <= m // 2 + 1) that lie in neither half.
+    """
+    h = m // 2
+    # an l = 0 window at s or t lies in both halves, so the pair credits it
+    lo = 1 if l == 0 else 0
+    # the starts of the windows in neither half, on the cycle that runs
+    # along the first half s..t at 0..h and back along the second to s at m
+    cross = [i for i in range(m) if not (lo <= i <= h - l - lo or h + lo <= i <= m - l - lo)]
+    short = _halves(adj, s, h)
+    long = short if m % 2 == 0 else _halves(adj, s, m - h)
+    for t, bucket in short.items():
+        partners = long.get(t, [])
+        gain = [0] * len(bucket)
+        partner_gain = gain if partners is bucket else [0] * len(partners)
+        for x, a in enumerate(bucket):
+            inner = set(a[1:-1])
+            for y, b in enumerate(partners):
+                if a[1] < b[1] and inner.isdisjoint(b):
+                    gain[x] += 1
+                    partner_gain[y] += 1
+                    if cross:
+                        cycle = a + b[-2:0:-1]
+                        cycle += cycle
+                        for i in cross:
+                            _credit(counts, cycle[i:i + l + 1], 1)
+        both = [(bucket, gain), (partners, partner_gain)]
+        for halves, gains in both[:1] if partners is bucket else both:
+            for half, add in zip(halves, gains):
+                if add:
+                    for i in range(lo, len(half) - l - lo):
+                        _credit(counts, half[i:i + l + 1], add)
+
+
+def _credit(counts: dict[Path, int], window: Path, add: int) -> None:
+    key = window if window[0] < window[-1] else window[::-1]
+    counts[key] = counts.get(key, 0) + add

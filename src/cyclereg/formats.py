@@ -11,6 +11,7 @@ triangle in column order), one graph per line.
 
 from __future__ import annotations
 
+import re
 from typing import Iterator
 
 from .graph import Edge, LabeledGraph, _adjacency, build_graph
@@ -94,30 +95,35 @@ def _g6_number(n: int) -> bytes:
     raise ValueError(f"graph too large for graph6: {n} vertices")
 
 
+#: graph6's characters, and the tables that add and take off their offset
+#: of 63 with bytes.translate.
+_G6_CHARS = bytes(range(63, 127))
+_G6_ENCODE = bytes((b + 63) & 255 for b in range(256))
+_G6_DECODE = bytes((b - 63) & 255 for b in range(256))
+#: The payload bytes that hold a set bit, and the set bits of each 6-bit
+#: value, the most significant (bit 0) first.
+_G6_NONZERO = re.compile(rb"[^\x00]")
+_G6_BITS = [tuple(bit for bit in range(6) if value & (32 >> bit)) for value in range(64)]
+
+
 def encode_graph6(g: LabeledGraph) -> str:
-    n = g.n
-    out = bytearray(_g6_number(n))
-    bits = 0
-    nbits = 0
-    for col in range(1, n):
-        for row in range(col):
-            bits = (bits << 1) | (1 if g.has_edge(row, col) else 0)
-            nbits += 1
-            if nbits == 6:
-                out.append(bits + 63)
-                bits = nbits = 0
-    if nbits:
-        out.append((bits << (6 - nbits)) + 63)
-    return out.decode("ascii")
+    header = _g6_number(g.n)
+    payload = bytearray((g.n * (g.n - 1) // 2 + 5) // 6)
+    for row, col in g.edges():
+        pos = col * (col - 1) // 2 + row
+        payload[pos // 6] |= 32 >> pos % 6
+    return (header + payload.translate(_G6_ENCODE)).decode("ascii")
 
 
 def decode_graph6(line: str) -> LabeledGraph:
     s = line.strip()
     if s.startswith(">>graph6<<"):
         s = s[len(">>graph6<<"):]
-    data = [ord(c) - 63 for c in s]
-    if any(b < 0 or b > 63 for b in data):
+    # a character outside ASCII encodes to bytes above 127, so it fails too
+    data = s.encode("utf-8", "surrogatepass")
+    if data.translate(None, _G6_CHARS):
         raise ParseError("invalid graph6 character")
+    data = data.translate(_G6_DECODE)
     if not data:
         raise ParseError("empty graph6 line")
     if data[0] <= 62:
@@ -139,11 +145,18 @@ def decode_graph6(line: str) -> LabeledGraph:
     return _adjacency(n, _g6_edges(n, data, idx))
 
 
-def _g6_edges(n: int, data: list[int], idx: int) -> Iterator[Edge]:
-    pos = 0
-    for col in range(1, n):
-        for row in range(col):
-            byte = data[idx + pos // 6]
-            if (byte >> (5 - pos % 6)) & 1:
-                yield row, col
-            pos += 1
+def _g6_edges(n: int, data: bytes, idx: int) -> Iterator[Edge]:
+    """The set bits of the payload as (row, col), in column order; bits past
+    the n(n-1)/2 pairs are padding and ignored."""
+    total = n * (n - 1) // 2
+    col, start = 1, 0  # column col holds the bits start .. start + col - 1
+    for match in _G6_NONZERO.finditer(data, idx):
+        i = match.start()
+        for bit in _G6_BITS[data[i]]:
+            pos = 6 * (i - idx) + bit
+            if pos >= total:
+                return
+            while pos >= start + col:
+                start += col
+                col += 1
+            yield pos - start, col

@@ -8,11 +8,13 @@ from cyclereg import (
     DuplicateEdgeError,
     LabeledGraph,
     ParseError,
+    RegularityReport,
     SelfLoopError,
     VertexOutOfRangeError,
     build_graph,
     count_cycles_through_path,
 )
+from cyclereg.cycles import _paths_of_length
 from cyclereg.formats import MAX_EDGE_LIST_VERTICES
 
 # keep the randomized suites reproducible run to run
@@ -85,6 +87,20 @@ def count_cycles(g: LabeledGraph, m: int) -> int:
     total = sum(count_cycles_through_path(g, (v,), m) for v in range(g.n))
     assert total % m == 0
     return total // m
+
+
+def reference_regularity_scan(g: LabeledGraph, l: int, m: int) -> RegularityReport:
+    """`regularity_scan` path by path: the oracle's count for each path of
+    `_paths_of_length`, in its order, up to the first count that differs
+    from the first path's."""
+    first_path, first_count = None, 0
+    for p in _paths_of_length(g, l):
+        c = count_cycles_through_path(g, p, m)
+        if first_path is None:
+            first_path, first_count = p, c
+        elif c != first_count:
+            return RegularityReport(l, m, None, (first_path, first_count, p, c))
+    return RegularityReport(l, m, first_count if first_path is not None else 0)
 
 
 class OddNError(ValueError):

@@ -11,18 +11,28 @@ from cyclereg import (
     IParams,
     NotCubicError,
     PathTooLongError,
+    RegularityReport,
     build_graph,
     count_cycles_through_path,
     generate_dp,
     generate_folded_cube,
     generate_gp,
+    generate_hypercube,
     generate_i_graph,
     octagon_partition,
     octagon_value,
     regularity_scan,
 )
 
-from conftest import count_cycles, enumerate_cycles, random_cubic
+from cyclereg import cycles
+
+from conftest import (
+    count_cycles,
+    enumerate_cycles,
+    random_cubic,
+    reference_regularity_scan,
+    shuffled,
+)
 
 PETERSEN = generate_gp(5, 2)
 FQ4 = generate_folded_cube(FQParams(4))
@@ -208,6 +218,75 @@ def test_count_and_scan_against_enumerator_on_mixed_degree_graphs(rnd):
     else:
         p1, c1, p2, c2 = report.witness
         assert (counts[p1], counts[p2]) == (c1, c2) and c1 != c2
+
+
+def _scan_pairs(max_m, max_l=None):
+    return [(l, m) for m in range(3, max_m + 1) for l in range(m if max_l is None else min(m, max_l + 1))]
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.randoms(use_true_random=False))
+def test_regularity_scan_equals_the_per_path_reference_on_random_graphs(rnd):
+    # mixed degree, edgeless and disconnected graphs on up to 11 vertices:
+    # the join's report, witness included, is the per-path oracle's for
+    # every 0 <= l < m <= 10
+    n = rnd.randint(0, 11)
+    density = rnd.choice([0.0, rnd.uniform(0.1, 0.5)])
+    cut = rnd.randint(0, n) if rnd.random() < 0.3 else 0  # no edge crosses the cut
+    g = build_graph(n, [
+        (u, v) for u in range(n) for v in range(u + 1, n)
+        if not u < cut <= v and rnd.random() < density
+    ])
+    for l, m in _scan_pairs(10):
+        assert regularity_scan(g, l, m) == reference_regularity_scan(g, l, m), (l, m)
+
+
+SCAN_CORPUS = {
+    **{f"FQ_{n}": (generate_folded_cube(FQParams(n)), _scan_pairs(10)) for n in range(1, 6)},
+    # FQ_6 up to m = 8 and l = 4: the oracle's larger cases take a minute
+    "FQ_6": (generate_folded_cube(FQParams(6)), _scan_pairs(8, 4)),
+    "Q_4": (generate_hypercube(4), _scan_pairs(10)),
+    "I(7,2,3)": (generate_i_graph(IParams(7, 2, 3)), _scan_pairs(10)),
+    "DP(9,2)": (generate_dp(DPParams(9, 2)), _scan_pairs(10)),
+    "G(8,3)": (generate_gp(8, 3), _scan_pairs(10)),
+}
+
+
+@pytest.mark.parametrize("name", SCAN_CORPUS)
+def test_regularity_scan_equals_the_per_path_reference_on_members(name):
+    g, pairs = SCAN_CORPUS[name]
+    for l, m in pairs:
+        assert regularity_scan(g, l, m) == reference_regularity_scan(g, l, m), (l, m)
+
+
+@pytest.mark.parametrize("l, m, value", [(1, 9, 1368), (1, 10, 3408), (2, 8, 168)])
+def test_regularity_scan_fq5_beyond_the_paper(l, m, value):
+    # the per-path oracle's values, beyond the patterns the paper prints
+    assert regularity_scan(FQ5, l, m) == RegularityReport(l, m, value)
+
+
+@pytest.mark.parametrize("member, m, seed", [
+    (generate_gp(6000, 2), 8, 3),  # not [1,λ,8]-regular: the witness is at vertex 0
+    (generate_hypercube(10), 4, 1),  # edge-transitive: only the switch differs
+], ids=["G(6000,2)", "Q_10"])
+def test_regularity_scan_stops_at_the_first_mismatch(monkeypatch, member, m, seed):
+    # one 2-switch in a relabeled member: the scan joins only the smallest
+    # vertices up to the witness's first vertex
+    rng = random.Random(seed)
+    edges = set(shuffled(member, seed).edges())
+    while True:
+        (a, b), (c, d) = rng.sample(sorted(edges), 2)
+        new = {(min(a, d), max(a, d)), (min(c, b), max(c, b))}
+        if len({a, b, c, d}) == 4 and not new & edges:
+            break
+    g = build_graph(member.n, sorted(edges - {(a, b), (c, d)} | new))
+    sources = []
+    join = cycles._join
+    monkeypatch.setattr(cycles, "_join", lambda adj, s, *rest: sources.append(s) or join(adj, s, *rest))
+    report = regularity_scan(g, 1, m)
+    assert report == reference_regularity_scan(g, 1, m) and not report.is_regular
+    assert sources == list(range(report.witness[2][0] + 1))
+    assert len(sources) < g.n // 10
 
 
 def test_octagon_partition_petersen():

@@ -92,6 +92,53 @@ def test_graph6_errors():
         decode_graph6("")
     with pytest.raises(ParseError):
         decode_graph6("I" + "~" * 2)  # wrong payload length
+    for line in ("A\u00e9", "A\ud800", "A>", "A\x7f"):  # "A?" is a valid line
+        with pytest.raises(ParseError, match="invalid graph6 character"):
+            decode_graph6(line)
+
+
+def reference_decode_graph6(line: str):
+    """graph6 read bit by bit over the whole upper triangle, as a quadratic
+    reader had it."""
+    s = line.strip()
+    if s.startswith(">>graph6<<"):
+        s = s[len(">>graph6<<"):]
+    data = [ord(c) - 63 for c in s]
+    if any(b < 0 or b > 63 for b in data):
+        raise ParseError("invalid graph6 character")
+    if not data:
+        raise ParseError("empty graph6 line")
+    if data[0] <= 62:
+        n, idx = data[0], 1
+    elif len(data) >= 4 and data[1] <= 62:
+        n, idx = (data[1] << 12) | (data[2] << 6) | data[3], 4
+    elif len(data) >= 8:
+        n, idx = int("".join(f"{b:06b}" for b in data[2:8]), 2), 8
+    else:
+        raise ParseError("truncated graph6 header")
+    need = (n * (n - 1) // 2 + 5) // 6
+    if len(data) - idx != need:
+        raise ParseError(f"expected {need} payload bytes, got {len(data) - idx}")
+    pairs = [(row, col) for col in range(1, n) for row in range(col)]
+    return build_graph(n, [e for pos, e in enumerate(pairs) if data[idx + pos // 6] >> (5 - pos % 6) & 1])
+
+
+@settings(max_examples=150, deadline=None)
+@given(graphs(max_n=70), st.data())
+def test_decode_graph6_equals_the_bitwise_reader(g, data):
+    # encoded graphs with their padding bits set, characters just outside
+    # the range, non-ASCII, a cut or a longer payload, and the prefix
+    G = nx.empty_graph(g.n)
+    G.add_edges_from(g.edges())
+    line = encode_graph6(g)
+    assert line == nx.to_graph6_bytes(G, header=False).decode().strip()
+    padding = (6 - g.n * (g.n - 1) // 2 % 6) % 6
+    if padding:
+        line = line[:-1] + chr((ord(line[-1]) - 63 | data.draw(st.integers(1, (1 << padding) - 1))) + 63)
+    cut = data.draw(st.integers(0, len(line)))
+    tail = data.draw(st.text(alphabet=">?@~\x7f\x00\u00e9\ud800", max_size=3))
+    line = data.draw(st.sampled_from([line, line[:cut] + tail + line[cut:], line[:cut], ">>graph6<<" + line]))
+    assert outcome(decode_graph6, line) == outcome(reference_decode_graph6, line)
 
 
 #: Tokens that int() reads in its own way, or not at all.
