@@ -7,6 +7,7 @@ Exit codes: 0 success/accept, 1 reject/mismatch, 2 usage or parse error.
 from __future__ import annotations
 
 import argparse
+import re
 import sys
 
 from .cycles import octagon_partition, regularity_scan
@@ -48,18 +49,13 @@ from .scans import (
 from .tables import CYCLE_REGULAR_DP, CYCLE_REGULAR_I
 
 
-def _build(family: str, params: list[int]) -> LabeledGraph:
-    if family == "i":
-        return generate_i_graph(IParams(*params))
-    if family == "gp":
-        return generate_gp(*params)
-    if family == "dp":
-        return generate_dp(DPParams(*params))
-    if family == "fq":
-        return generate_folded_cube(FQParams(*params))
-    if family == "q":
-        return generate_hypercube(*params)
-    raise ValueError(f"unknown family {family!r}")
+_BUILD = {  # family -> its member from the command-line parameters
+    "i": lambda *ps: generate_i_graph(IParams(*ps)),
+    "gp": generate_gp,
+    "dp": lambda *ps: generate_dp(DPParams(*ps)),
+    "fq": lambda *ps: generate_folded_cube(FQParams(*ps)),
+    "q": generate_hypercube,
+}
 
 
 _PARAM_COUNT = {"i": 3, "gp": 2, "dp": 2, "fq": 1, "q": 1}
@@ -98,7 +94,7 @@ def cmd_generate(args: argparse.Namespace) -> int:
         print(f"parameter error: {refusal}" + (" for graph6" if graph6 else ""), file=sys.stderr)
         return 2
     try:
-        g = _build(args.family, args.params)
+        g = _BUILD[args.family](*args.params)
     except (ParamOutOfRangeError, ValueError) as exc:
         print(f"parameter error: {exc}", file=sys.stderr)
         return 2
@@ -122,14 +118,20 @@ def _read_graph(path: str) -> LabeledGraph:
     else:
         with open(path) as fh:
             text = fh.read()
-    for line in text.splitlines():
-        line = line.strip()
-        if line and not line.startswith("#"):
-            break
-    else:
-        raise ParseError("empty input")
-    # parsed after the loop, so that the sniffed lines are gone by then
+    line = _first_line(text)
     return parse_edge_list(text) if line[0].isdigit() else decode_graph6(line)
+
+
+_LINE = re.compile(r"[^\n\r\v\f\x1c-\x1e\x85\u2028\u2029]+")  # as str.splitlines cuts
+
+
+def _first_line(text: str) -> str:
+    """The first line that is neither blank nor a comment, stripped."""
+    for match in _LINE.finditer(text):
+        line = match[0].strip()
+        if line and not line.startswith("#"):
+            return line
+    raise ParseError("empty input")
 
 
 def _describe(cert: Certificate) -> str:

@@ -1,11 +1,12 @@
-"""I(n,j,k), DP(n,k) and FQ_n, each defined once by `member_edges`; the
-generators of those families and of G(n,k) and Q_n; and the
+"""I(n,j,k), DP(n,k) and FQ_n, each defined once by `member_adjacency`;
+the generators of those families and of G(n,k) and Q_n; and the
 parameter-level isomorphism rules of the families.
 
-Recognition replays labelings against `member_edges`, and the 8-cycle
-tables look their pattern edges up in it, so the adjacency of each family
-is written only there.  Vertex ids follow one convention, which also
-decides each vertex's family name (`vertex_name`) and each edge's role:
+The generators wrap the rows of `member_adjacency`, recognition replays
+labelings against them, and the 8-cycle tables look their pattern edges up
+in them, so the adjacency of each family is written only there.  Vertex ids
+follow one convention, which also decides each vertex's family name
+(`vertex_name`) and each edge's role:
 
 * I(n,j,k):  u_i = i, w_i = n + i; outer edges join two u's, inner edges
   two w's, and spoke u_i w_i is the edge (a, b) with b - a = n.
@@ -18,9 +19,12 @@ decides each vertex's family name (`vertex_name`) and each edge's role:
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
+from itertools import chain, repeat
 from math import gcd
+from typing import Iterator
 
-from .graph import Edge, LabeledGraph, build_graph
+from .graph import LabeledGraph
 
 
 class ParamOutOfRangeError(ValueError):
@@ -89,60 +93,68 @@ def member_order(p: Params) -> int:
     return 1 << (p.n - 1)
 
 
-def member_edges(p: Params) -> tuple[int, list[Edge]]:
-    """The one definition of each family: the vertex count and the edge list
-    of I(n,j,k), DP(n,k) or FQ_n, on the ids of the module docstring.
+def member_adjacency(p: Params) -> Iterator[tuple[int, ...]]:
+    """The one definition of each family: the sorted neighbour tuple of each
+    member id of I(n,j,k), DP(n,k) or FQ_n in turn, on the ids of the module
+    docstring, each id one int object.  Rows are made as they are read.
 
-    I(n,j,k): outer edges u_i u_{i+j}, inner w_i w_{i+k}, spokes u_i w_i.
-    DP(n,k): rims u_i u_{i+1} and x_i x_{i+1}, spokes u_i w_i and x_i y_i,
-    and the crossed inner edges w_i y_{i+k}, y_i w_{i+k}.
-    FQ_n: Q_{n-1} plus the matching of each id with its bitwise complement;
-    for FQ_2 that diagonal would repeat the lone cube edge, so it is left
-    out.  Every list is simple and holds each edge once.
+    I(n,j,k): u_i ~ u_{i-j}, u_{i+j}, w_i and w_i ~ u_i, w_{i-k}, w_{i+k}.
+    DP(n,k): rims u_i ~ u_{i+-1} and x_i ~ x_{i+-1}, spokes u_i w_i and
+    x_i y_i, and the crossed inner edges w_i y_{i+k}, y_i w_{i+k}.
+    FQ_n: Q_{n-1} plus the matching of each id with its bitwise complement,
+    left out of FQ_2, where it would repeat the lone cube edge.
     """
+    ids = list(range(member_order(p)))
+    if isinstance(p, FQParams):
+        return _cube_rows(ids, p.n - 1, folded=True)
+    n = p.n
     if isinstance(p, IParams):
-        n, j, k = p.n, p.j, p.k
-        edges: list[Edge] = []
-        for i in range(n):
-            edges.append((i, (i + j) % n))
-            edges.append((n + i, n + (i + k) % n))
-            edges.append((i, n + i))
-    elif isinstance(p, DPParams):
-        n, k = p.n, p.k
-        edges = []
-        u, w, x, y = 0, n, 2 * n, 3 * n
-        for i in range(n):
-            nxt = (i + 1) % n
-            stepped = (i + k) % n
-            edges.append((u + i, u + nxt))
-            edges.append((x + i, x + nxt))
-            edges.append((u + i, w + i))
-            edges.append((x + i, y + i))
-            edges.append((w + i, y + stepped))
-            edges.append((y + i, w + stepped))
-    else:
-        width = p.n - 1
-        edges = _cube_edges(width)
-        if width >= 2:
-            mask = (1 << width) - 1
-            edges.extend((v, v ^ mask) for v in range(1 << (width - 1)))
-    return member_order(p), edges
+        u, w = ids[:n], ids[n:]
+        return chain(zip(*_ring(u, p.j), w), zip(u, *_ring(w, p.k)))
+    u, w, x, y = ids[:n], ids[n:2 * n], ids[2 * n:3 * n], ids[3 * n:]
+    return chain(zip(*_ring(u, 1), w), zip(u, *_ring(y, p.k)),
+                 zip(*_ring(x, 1), y), zip(*_ring(w, p.k), x))
 
 
-def _cube_edges(width: int) -> list[Edge]:
-    return [
-        (v, v ^ (1 << b))
-        for v in range(1 << width)
-        for b in range(width)
-        if not v & (1 << b)
-    ]
+def _ring(ring: list[int], s: int) -> tuple[list[int], list[int]]:
+    """ring[i - s] and ring[i + s] (indices mod len(ring)) for every i, the
+    smaller first, as two lists; ring ascending and 0 < 2s < len(ring)."""
+    n = len(ring)
+    return (ring[s:2 * s] + ring[:n - 2 * s] + ring[:s],
+            ring[n - s:] + ring[2 * s:] + ring[n - 2 * s:n - s])
+
+
+def _cube_rows(ids: list[int], width: int, folded: bool) -> Iterator[tuple[int, ...]]:
+    """The rows of Q_width on `ids` = [0, 1, ...] (with `folded`, width >= 2,
+    of FQ_(width+1)), a block at a time: the top two bits of an id pick its
+    block, its neighbours across them sit at its place in the blocks one bit
+    away, its complement at the mirror place in the opposite block, and the
+    rest are its row of Q_(width-2) moved into its block.  Only those rows,
+    a quarter of all, are held."""
+    if not width:
+        return iter([()])
+    top = min(width, 2)
+    size = 1 << (width - top)
+    rows = list(_cube_rows(ids, width - top, False))
+    blocks = [ids[i * size:(i + 1) * size] for i in range(1 << top)]
+
+    def block(hi: int) -> Iterator[tuple[int, ...]]:
+        cols = {hi ^ 1 << b: blocks[hi ^ 1 << b] for b in range(top)}
+        if folded and top == 2:
+            cols[3 - hi] = blocks[3 - hi][::-1]
+        down, up = ([cols[x] for x in sorted(cols) if (x < hi) == below] for below in (True, False))
+        own = rows if hi == 0 else map(tuple, map(partial(map, blocks[hi].__getitem__), rows))
+        return map(tuple.__add__, map(tuple.__add__, zip(*down) if down else repeat(()), own),
+                   zip(*up) if up else repeat(()))
+
+    return chain.from_iterable(map(block, range(1 << top)))
 
 
 def generate_i_graph(p: IParams) -> LabeledGraph:
     """I(n,j,k): 2n vertices, 3n edges, cubic; connected iff gcd(n,j,k) == 1
     (for d > 1 it falls apart into d copies of the smaller I-graph, by
     design)."""
-    return build_graph(*member_edges(p))
+    return LabeledGraph(member_order(p), tuple(member_adjacency(p)))
 
 
 def generate_gp(n: int, k: int) -> LabeledGraph:
@@ -152,20 +164,21 @@ def generate_gp(n: int, k: int) -> LabeledGraph:
 
 def generate_dp(p: DPParams) -> LabeledGraph:
     """DP(n,k): two GP-like copies with crossed inner edges."""
-    return build_graph(*member_edges(p))
+    return LabeledGraph(member_order(p), tuple(member_adjacency(p)))
 
 
 def generate_hypercube(n: int) -> LabeledGraph:
-    """Q_n on 2^n vertices; ids differing in exactly one bit are adjacent."""
+    """Q_n on 2^n vertices; ids differing in exactly one bit are adjacent
+    (the folded-cube rule without the diagonal)."""
     if n < 0:
         raise ParamOutOfRangeError(f"dimension must be >= 0, got {n}")
-    return build_graph(1 << n, _cube_edges(n))
+    return LabeledGraph(1 << n, tuple(_cube_rows(list(range(1 << n)), n, folded=False)))
 
 
 def generate_folded_cube(p: FQParams) -> LabeledGraph:
     """FQ_n: 2^(n-1) vertices of degree n for n >= 3.  FQ_1 is K_1 and FQ_2
     is K_2."""
-    return build_graph(*member_edges(p))
+    return LabeledGraph(member_order(p), tuple(member_adjacency(p)))
 
 
 def _fold(x: int, n: int) -> int:

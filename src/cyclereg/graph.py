@@ -30,10 +30,6 @@ class VertexOutOfRangeError(GraphError):
     pass
 
 
-def _norm(u: int, v: int) -> Edge:
-    return (u, v) if u < v else (v, u)
-
-
 @dataclass(frozen=True)
 class LabeledGraph:
     """Undirected simple graph on the vertex ids 0..n-1.
@@ -80,7 +76,7 @@ def build_graph(n: int, edges: Sequence[tuple[int, int]]) -> LabeledGraph:
             raise SelfLoopError(f"self-loop at vertex {u}")
         key = u * n + v if u < v else v * n + u
         if key in seen:
-            raise DuplicateEdgeError(f"duplicate edge {_norm(u, v)}")
+            raise DuplicateEdgeError(f"duplicate edge {(min(u, v), max(u, v))}")
         seen.add(key)
     raise AssertionError("_adjacency refused a simple edge list")
 

@@ -2,7 +2,7 @@
 
 Every labeling a recognizer builds is a map from input vertices to member
 ids, and it is accepted only when `_replays` carries it edge for edge onto
-the family's one definition (`families.member_edges`); the same replay
+the family's one definition (`families.member_adjacency`); the same replay
 filters the candidate labelings, so a recognizer can never accept a graph
 the definition does not reproduce.  All recognizers take arbitrary graphs
 and reject with a reason otherwise.  Accepted ids are rendered to names by
@@ -28,7 +28,9 @@ from .families import (
     canonical_i_params,
     canonical_i_unit,
     dp_canonical_params,
-    member_edges,
+    generate_dp,
+    generate_i_graph,
+    member_adjacency,
     member_order,
     vertex_name,
     _fold,
@@ -37,7 +39,6 @@ from .graph import (
     Edge,
     LabeledGraph,
     bfs,
-    build_graph,
     connected_components,
     induced_subgraph,
     is_regular,
@@ -72,27 +73,28 @@ _FAMILY = {cls: family for family, cls in _PARAMS.items()}
 
 def _replays(g: LabeledGraph, p: Params, phi: dict[int, int]) -> bool:
     """The one certificate check: phi (input vertex -> member id) is a
-    bijection from g's vertices onto the member's ids, g has as many edges
-    as the member, and phi carries every edge of g to an edge of
-    `member_edges(p)`.  That list holds each edge once, so given the first
-    two, the last is checked from the member's side: every member edge
-    pulls back to an edge of g.  The bijection is checked first, so a
-    labeling that collides builds no edge list.  Linear in the size of the
-    graph."""
+    bijection onto the member's ids, each member id has as many neighbours
+    as its preimage, and every member edge {a, b} (`member_adjacency(p)`,
+    the family's one definition), walked once as b > a in a's row while the
+    rows are made, pulls back to an edge of g.  The bijection is checked
+    first, so a labeling that collides builds no rows.  O(|V| + |E|)."""
     order = member_order(p)
-    if order != g.n:
+    if order != g.n or len(phi) != order:
         return False
     inv: list[int | None] = [None] * order
-    for v in range(order):
-        x = phi.get(v)
-        if x is None or not 0 <= x < order or inv[x] is not None:
+    for v, x in phi.items():
+        if x is None or not (0 <= v < order and 0 <= x < order) or inv[x] is not None:
             return False
         inv[x] = v
-    _, edges = member_edges(p)
-    if len(edges) != g.m:
-        return False
     adj = g.adj
-    return all(inv[b] in adj[inv[a]] for a, b in edges)
+    for a, row in enumerate(member_adjacency(p)):
+        nbrs = adj[inv[a]]
+        if len(row) != len(nbrs):
+            return False
+        for b in row:
+            if b > a and inv[b] not in nbrs:
+                return False
+    return True
 
 
 def _named(p: Params, phi: dict[int, int]) -> dict[int, str]:
@@ -496,11 +498,9 @@ def _constant_branch(g: LabeledGraph, family: str) -> Certificate | Rejection:
         members = [IParams(*p) for p in CYCLE_REGULAR_I]
     else:
         members = list(dict.fromkeys(dp_canonical_params(DPParams(*p)) for p in CYCLE_REGULAR_DP))
+    generate = generate_i_graph if family == I_GRAPH else generate_dp
     for p in members:
-        order, edges = member_edges(p)
-        if order != g.n or len(edges) != g.m:
-            continue
-        iso = find_isomorphism(g, build_graph(order, edges))
+        iso = find_isomorphism(g, generate(p)) if member_order(p) == g.n else None
         if iso is None:
             continue
         cert = _certified(g, p, {v: iso[v] for v in range(g.n)})  # labeled in vertex order

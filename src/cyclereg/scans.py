@@ -51,12 +51,7 @@ def canonical_i_grid(max_n: int) -> list[IParams]:
 
 def dp_grid(max_n: int) -> list[DPParams]:
     """All DP-graph parameters with n <= max_n."""
-    return [
-        DPParams(n, k)
-        for n in range(3, max_n + 1)
-        for k in range(1, (n - 1) // 2 + 1)
-        if 2 * k < n
-    ]
+    return [DPParams(n, k) for n in range(3, max_n + 1) for k in range(1, (n - 1) // 2 + 1)]
 
 
 def measured_octagon(p: IParams | DPParams) -> OctagonTriple:
@@ -78,22 +73,14 @@ def measured_octagon(p: IParams | DPParams) -> OctagonTriple:
 
 def scan_cycle_regular_i(max_n: int) -> dict[tuple[int, int, int], int]:
     """Canonical I-graphs with a constant per-edge 8-cycle count, by oracle."""
-    found = {}
-    for p in canonical_i_grid(max_n):
-        triple = measured_octagon(p)
-        if triple.is_constant():
-            found[(p.n, p.j, p.k)] = triple.sigma_outer
-    return found
+    return {(p.n, p.j, p.k): t.sigma_outer
+            for p in canonical_i_grid(max_n) if (t := measured_octagon(p)).is_constant()}
 
 
 def scan_cycle_regular_dp(max_n: int) -> dict[tuple[int, int], int]:
     """DP-graphs with a constant per-edge 8-cycle count, by oracle."""
-    found = {}
-    for p in dp_grid(max_n):
-        triple = measured_octagon(p)
-        if triple.is_constant():
-            found[(p.n, p.k)] = triple.sigma_outer
-    return found
+    return {(p.n, p.k): t.sigma_outer
+            for p in dp_grid(max_n) if (t := measured_octagon(p)).is_constant()}
 
 
 @dataclass(frozen=True)

@@ -7,7 +7,7 @@ per sign variant, the per-class contribution to the per-orbit 8-cycle
 triple, and the orbit size under the rotation (plus, for DP-graphs, the
 copy swap).  The pattern is the only statement of the class: a variant is
 present exactly when its pattern instantiates to eight distinct vertices
-joined cyclically by edges of the member, as `families.member_edges`
+joined cyclically by edges of the member, as `families.member_adjacency`
 defines it.  The paper's existence condition (stated for j <= k) stands as
 a comment on each pattern, and no code reads it: the pattern's closing edge
 encodes the congruence, and the distinctness of its vertices rules out the
@@ -23,7 +23,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .cycles import OctagonTriple
-from .families import DPParams, IParams, member_edges
+from .families import DPParams, IParams, member_adjacency
 
 # a vertex: side, coefficient of j, coefficient of k (DP-graphs have j = 1)
 Term = tuple[str, int, int]
@@ -149,18 +149,18 @@ def _class_multiplicities(
 ) -> list[tuple[CycleClass, int]]:
     """Each class with the number of its patterns present in the member: the
     pattern instantiates, through the id convention, to eight distinct
-    vertices joined cyclically by edges of `member_edges(p)`.  The closing
-    edge is looked up first; it is the one that fails for most (n, j, k)."""
+    vertices joined cyclically by edges of `member_adjacency(p)`.  The
+    closing edge is looked up first; it is the one that fails for most
+    (n, j, k)."""
     n, k = p.n, p.k
     j = p.j if isinstance(p, IParams) else 1  # the DP rims step by 1
-    member = set(member_edges(p)[1])
+    rows = list(member_adjacency(p))
     base = {side: t * n for t, side in enumerate("uwxy")}  # the id convention
 
     def present(pattern: tuple[Term, ...]) -> bool:
         verts = [base[side] + (cj * j + ck * k) % n for side, cj, ck in pattern]
         return len(set(verts)) == 8 and all(
-            (a, b) in member or (b, a) in member
-            for a, b in zip(verts[-1:] + verts, verts))
+            b in rows[a] for a, b in zip(verts[-1:] + verts, verts))
 
     return [(c, sum(map(present, c.patterns))) for c in classes]
 

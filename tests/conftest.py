@@ -6,6 +6,7 @@ from hypothesis import settings
 from cyclereg import (
     DPParams,
     DuplicateEdgeError,
+    IParams,
     LabeledGraph,
     ParseError,
     RegularityReport,
@@ -15,6 +16,8 @@ from cyclereg import (
     count_cycles_through_path,
 )
 from cyclereg.cycles import _paths_of_length
+from cyclereg.families import Params, member_order
+from cyclereg.graph import Edge
 from cyclereg.formats import MAX_EDGE_LIST_VERTICES
 
 # keep the randomized suites reproducible run to run
@@ -122,6 +125,56 @@ def dp_twin_map(p: DPParams) -> dict[int, int]:
         mapping[2 * n + i] = 2 * n + (i + half) % n
         mapping[3 * n + i] = 3 * n + (i + half) % n
     return mapping
+
+
+def reference_member_edges(p: Params) -> tuple[int, list[Edge]]:
+    """The vertex count and the edge list of I(n,j,k), DP(n,k) or FQ_n, as
+    an edge rule written apart from `families.member_adjacency`.
+
+    I(n,j,k): outer edges u_i u_{i+j}, inner w_i w_{i+k}, spokes u_i w_i.
+    DP(n,k): rims u_i u_{i+1} and x_i x_{i+1}, spokes u_i w_i and x_i y_i,
+    and the crossed inner edges w_i y_{i+k}, y_i w_{i+k}.
+    FQ_n: Q_{n-1} plus the matching of each id with its bitwise complement;
+    for FQ_2 that diagonal would repeat the lone cube edge, so it is left
+    out.  Every list is simple and holds each edge once.
+    """
+    if isinstance(p, IParams):
+        n, j, k = p.n, p.j, p.k
+        edges: list[Edge] = []
+        for i in range(n):
+            edges.append((i, (i + j) % n))
+            edges.append((n + i, n + (i + k) % n))
+            edges.append((i, n + i))
+    elif isinstance(p, DPParams):
+        n, k = p.n, p.k
+        edges = []
+        u, w, x, y = 0, n, 2 * n, 3 * n
+        for i in range(n):
+            nxt = (i + 1) % n
+            stepped = (i + k) % n
+            edges.append((u + i, u + nxt))
+            edges.append((x + i, x + nxt))
+            edges.append((u + i, w + i))
+            edges.append((x + i, y + i))
+            edges.append((w + i, y + stepped))
+            edges.append((y + i, w + stepped))
+    else:
+        width = p.n - 1
+        edges = reference_cube_edges(width)
+        if width >= 2:
+            mask = (1 << width) - 1
+            edges.extend((v, v ^ mask) for v in range(1 << (width - 1)))
+    return member_order(p), edges
+
+
+def reference_cube_edges(width: int) -> list[Edge]:
+    """The edges of Q_width: ids that differ in exactly one bit."""
+    return [
+        (v, v ^ (1 << b))
+        for v in range(1 << width)
+        for b in range(width)
+        if not v & (1 << b)
+    ]
 
 
 def reference_build_graph(n: int, edges) -> LabeledGraph:

@@ -1,18 +1,28 @@
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from conftest import peak_memory, shuffled
+from conftest import outcome, peak_memory, shuffled
 from cyclereg import FQParams, cli, families, generate_folded_cube, generate_gp
 from cyclereg.cli import (
     MAX_ANALYZE_M,
     MAX_CUBIC_TABLE_N,
     MAX_FQ_TABLE_N,
     MAX_GRAPH6_VERTICES,
+    _first_line,
     _parse_range,
     _read_graph,
     _too_large,
     main,
 )
-from cyclereg.formats import MAX_EDGE_LIST_VERTICES, decode_graph6, emit_edge_list, parse_edge_list
+from cyclereg.formats import (
+    MAX_EDGE_LIST_VERTICES,
+    ParseError,
+    decode_graph6,
+    emit_edge_list,
+    encode_graph6,
+    parse_edge_list,
+)
 
 
 def run(capsys, *argv):
@@ -102,6 +112,47 @@ def test_read_graph_sniffs_without_holding_the_lines(tmp_path):
     path.write_text(text)
     assert _read_graph(str(path)) == parse_edge_list(text)
     assert peak_memory(_read_graph, str(path)) < 1.2 * peak_memory(parse_edge_list, text)
+
+
+def _splitlines_sniff(text):
+    # the sniff as it was: every line of the input, then the first one that
+    # is neither blank nor a comment
+    for line in text.splitlines():
+        line = line.strip()
+        if line and not line.startswith("#"):
+            return line
+    raise ParseError("empty input")
+
+
+@pytest.mark.parametrize("prefix", [
+    "", "\n\n", "  \t\n", "# comment\n", "\r\n", "# a\r\n\r\n", "\x0c", "\u2028",
+    "\n# 1 2\x0c \u2028\r\n\x1c\x85",
+])
+def test_read_graph_sniffs_the_first_line_like_splitlines(tmp_path, prefix):
+    # line boundaries other than "\n" and "\r" pass through the file reader,
+    # so the sniff must cut lines where str.splitlines does
+    pet = generate_gp(5, 2)
+    for body, expected in ((emit_edge_list(pet), "10 15"), (encode_graph6(pet) + "\n", encode_graph6(pet))):
+        text = prefix + body
+        assert _first_line(text) == _splitlines_sniff(text) == expected
+        path = tmp_path / "g.txt"
+        path.write_text(text, newline="")
+        assert _read_graph(str(path)) == pet
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.text(alphabet=" \t\n\r\x0b\x0c\x1c\x1d\x1e\x1f\x85\xa0\u2028\u2029#3C~", max_size=12))
+def test_first_line_cuts_lines_like_splitlines(text):
+    assert outcome(_first_line, text) == outcome(_splitlines_sniff, text)
+
+
+def test_sniff_holds_no_lines():
+    # the sniff scans forward to the header: on an FQ_15-sized text, where
+    # splitting every line took about 8 MB, it holds under 4 kB
+    text = emit_edge_list(generate_folded_cube(FQParams(15)))
+    assert len(text) > 1e6
+    assert _first_line(text) == "16384 122880"
+    assert peak_memory(_first_line, text) < 4096
 
 
 def test_analyze_petersen(tmp_path, capsys):
@@ -231,7 +282,7 @@ def test_bench_single_size_rows(capsys):
 ])
 def test_generate_and_bench_refuse_members_over_the_cap(monkeypatch, capsys, argv):
     # refused from the parameters, before any edge or adjacency list is made
-    for name in ("member_edges", "_cube_edges", "build_graph"):
+    for name in ("member_adjacency", "_cube_rows", "LabeledGraph"):
         monkeypatch.setattr(families, name, lambda *a, name=name: pytest.fail(f"{name} was called"))
     code, out, err = run(capsys, *argv)
     assert code == 2 and out == ""
@@ -248,7 +299,7 @@ def test_generate_graph6_refuses_members_over_its_cap(monkeypatch, capsys, famil
     # edge-list cap; one step above it is refused from the parameters
     assert MAX_GRAPH6_VERTICES == 4096 and _too_large(family, at_cap[0]) is None
     assert _too_large(family, at_cap[0], MAX_GRAPH6_VERTICES) is None
-    for name in ("member_edges", "_cube_edges", "build_graph"):
+    for name in ("member_adjacency", "_cube_rows", "LabeledGraph"):
         monkeypatch.setattr(families, name, lambda *a, name=name: pytest.fail(f"{name} was called"))
     over = [str(at_cap[0] + 1), *map(str, at_cap[1:])]
     code, out, err = run(capsys, "generate", family, *over, "--format", "graph6")

@@ -7,6 +7,7 @@ from cyclereg import (
     FQParams,
     IParams,
     ParamOutOfRangeError,
+    build_graph,
     canonical_i_params,
     connected_components,
     dp_even_twin,
@@ -19,7 +20,7 @@ from cyclereg import (
     is_regular,
 )
 
-from conftest import count_cycles, dp_twin_map
+from conftest import count_cycles, dp_twin_map, reference_cube_edges, reference_member_edges
 
 
 # edge roles read off the id convention: u_i = i, w_i = n + i (I and DP),
@@ -36,6 +37,35 @@ def _i_outer(g, n):
 
 def _dp_inner(g, n):
     return [(a, b) for a, b in g.edges() if n <= a < 2 * n and b >= 3 * n]
+
+
+def _assert_simple_rows(rows):
+    # sorted, loop-free and symmetric, with no repeats: a simple graph
+    assert all(row == tuple(sorted(row)) for row in rows)
+    arcs = {(a, b) for a, row in enumerate(rows) for b in row if a != b}
+    assert len(arcs) == sum(map(len, rows))
+    assert arcs == {(b, a) for a, b in arcs}
+
+
+def test_generators_equal_the_reference_edge_rule():
+    # the neighbour rule against the edge rule written apart from it, on
+    # every I(n,j,k) with j <= k and n <= 40 (disconnected members too),
+    # every DP(n,k) with n <= 60, FQ_n with n <= 12 and Q_n with n <= 10
+    members = [
+        (generate_i_graph, IParams(n, j, k))
+        for n in range(3, 41) for k in range(1, (n + 1) // 2) for j in range(1, k + 1)
+    ]
+    members += [(generate_dp, DPParams(n, k)) for n in range(3, 61) for k in range(1, (n + 1) // 2)]
+    members += [(generate_folded_cube, FQParams(n)) for n in range(1, 13)]
+    assert len(members) == 3542
+    for generate, p in members:
+        g = generate(p)
+        assert g == build_graph(*reference_member_edges(p)), p
+        _assert_simple_rows(g.adj)
+    for n in range(11):
+        q = generate_hypercube(n)
+        assert q == build_graph(1 << n, reference_cube_edges(n)), n
+        _assert_simple_rows(q.adj)
 
 
 def test_triangular_prism():

@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import outcome, peak_memory, reference_parse_edge_list
-from cyclereg import build_graph, generate_gp
+from cyclereg import DPParams, FQParams, build_graph, generate_dp, generate_folded_cube, generate_gp
 from cyclereg import formats
 from cyclereg.formats import (
     MAX_EDGE_LIST_VERTICES,
@@ -213,8 +213,13 @@ def test_edge_list_header_allocates_per_vertex_pointers_only():
 def test_every_vertex_id_is_one_object():
     # ids above 256 are not cached by the interpreter; one object per id
     # lets lookups keyed by vertex ids hit on identity
-    g = generate_gp(300, 2)
-    for h in (g, parse_edge_list(emit_edge_list(g)), decode_graph6(encode_graph6(g))):
+    gp = generate_gp(300, 2)
+    dp, fq = generate_dp(DPParams(70, 3)), generate_folded_cube(FQParams(10))
+    assert min(gp.n, dp.n, fq.n) > 256
+    for g in (dp, fq):
+        assert parse_edge_list(emit_edge_list(g)) == g
+    for g, h in [(gp, gp), (gp, parse_edge_list(emit_edge_list(gp))),
+                 (gp, decode_graph6(encode_graph6(gp))), (dp, dp), (fq, fq)]:
         assert h == g
         first: dict[int, int] = {}
         for nbrs in h.adj:

@@ -40,11 +40,10 @@ from cyclereg import (
     verify_certificate,
     vertex_name,
 )
-from cyclereg.families import member_edges
 from cyclereg.scans import canonical_i_grid, dp_grid
 from cyclereg.tables import CYCLE_REGULAR_DP, CYCLE_REGULAR_I
 
-from conftest import enumerate_cycles, random_cubic, shuffled
+from conftest import enumerate_cycles, peak_memory, random_cubic, reference_member_edges, shuffled
 
 
 def _spoke_edges(g):
@@ -181,7 +180,7 @@ def _spoke_swapped(p, seed):
     picked = rng.sample(range(n), 2 * rng.randint(1, 3))
     for a, b in zip(picked[::2], picked[1::2]):
         w_of[a], w_of[b] = w_of[b], w_of[a]
-    order, edges = member_edges(p)
+    order, edges = reference_member_edges(p)
     spokes = [(i, n + w_of[i]) for i in range(n)]
     edges = [(a, b) for a, b in edges if b - a != n] + spokes
     perm = list(range(order))
@@ -680,13 +679,57 @@ def test_replays_checks_the_bijection_before_building_edges(monkeypatch):
     import cyclereg.recognition as recognition
 
     calls = []
-    member_edges_ = recognition.member_edges
-    monkeypatch.setattr(recognition, "member_edges", lambda p: calls.append(p) or member_edges_(p))
+    member_adjacency = recognition.member_adjacency
+    monkeypatch.setattr(recognition, "member_adjacency", lambda p: calls.append(p) or member_adjacency(p))
     pet, p = generate_gp(5, 2), IParams(5, 1, 2)
     assert not recognition._replays(pet, p, {v: v // 2 for v in range(pet.n)})
     assert calls == []
     assert recognition._replays(pet, p, {v: v for v in range(pet.n)})
     assert calls == [p]
+
+
+def test_replays_checks_every_member_edge():
+    # every 2-switch of a member keeps the degrees and moves two member
+    # edges, so the identity labeling replays only if some edge goes unchecked
+    import cyclereg.recognition as recognition
+
+    for p, g in ((IParams(5, 1, 2), generate_gp(5, 2)), (DPParams(5, 2), generate_dp(DPParams(5, 2))),
+                 (FQParams(4), generate_folded_cube(FQParams(4)))):
+        identity = {v: v for v in range(g.n)}
+        assert recognition._replays(g, p, identity)
+        edges = list(g.edges())
+        switches = 0
+        for i, (a, b) in enumerate(edges):
+            for c, d in edges[i + 1:]:
+                for x, y in ((c, d), (d, c)):
+                    if len({a, b, x, y}) == 4 and not g.has_edge(a, x) and not g.has_edge(b, y):
+                        rest = [e for e in edges if e not in ((a, b), (c, d))]
+                        switched = build_graph(g.n, rest + [(a, x), (b, y)])
+                        assert not recognition._replays(switched, p, identity), (p, a, b, x, y)
+                        switches += 1
+        assert switches > len(edges)
+
+
+def test_replays_holds_no_edge_list():
+    # the member's rows are walked as they are made: the replay of a
+    # relabeled FQ_13 peaks below a quarter of what its edge list took
+    import cyclereg.recognition as recognition
+
+    p = FQParams(13)
+    tracemalloc.start()
+    try:
+        order, edges = reference_member_edges(p)
+        edge_list = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    perm = list(range(order))
+    random.Random(13).shuffle(perm)
+    g = build_graph(order, [(perm[a], perm[b]) for a, b in edges])
+    phi = {perm[x]: x for x in range(order)}
+    del edges
+    peak = peak_memory(recognition._replays, g, p, phi)
+    assert recognition._replays(g, p, phi)
+    assert peak < edge_list / 4, (peak, edge_list)
 
 
 def test_verify_certificate_huge_fq_dimension_builds_no_order():
@@ -788,11 +831,11 @@ def test_find_isomorphism_agrees_with_networkx_on_stored_orders():
     nx = pytest.importorskip("networkx")
     same_order = {}
     for p in [*canonical_i_grid(13), *dp_grid(6)]:
-        g = build_graph(*member_edges(p))
+        g = build_graph(*reference_member_edges(p))
         same_order.setdefault(g.n, []).append((p, g))
     pairs = 0
     for i, member in enumerate(_stored_members()):
-        target = build_graph(*member_edges(member))
+        target = build_graph(*reference_member_edges(member))
         if target.n > 26:
             continue
         for p, g in same_order[target.n]:
@@ -811,7 +854,7 @@ def test_find_isomorphism_agrees_with_networkx_on_stored_orders():
 
 def test_stored_members_accepted_under_relabeling():
     for member in _stored_members():
-        g = build_graph(*member_edges(member))
+        g = build_graph(*reference_member_edges(member))
         for seed in range(3):
             relabeled = shuffled(g, seed)
             cert = _accept(recognize(relabeled))
