@@ -64,12 +64,9 @@ from .recognition import (
     verify_certificate,
 )
 from .tables import (
-    CycleClass,
     FqLambda,
     UnsupportedPatternError,
-    dp_cycle_classes,
     fq_lambda,
-    i_graph_cycle_classes,
     predict_dp_octagon,
     predict_i_octagon,
     published_fq_lambda,

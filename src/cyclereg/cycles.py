@@ -42,20 +42,6 @@ class OctagonTriple:
     def is_constant(self) -> bool:
         return self.sigma_outer == self.sigma_spoke == self.sigma_inner
 
-    def __add__(self, other: "OctagonTriple") -> "OctagonTriple":
-        return OctagonTriple(
-            self.sigma_outer + other.sigma_outer,
-            self.sigma_spoke + other.sigma_spoke,
-            self.sigma_inner + other.sigma_inner,
-        )
-
-    def scaled(self, factor: int) -> "OctagonTriple":
-        return OctagonTriple(
-            self.sigma_outer * factor,
-            self.sigma_spoke * factor,
-            self.sigma_inner * factor,
-        )
-
 
 @dataclass(frozen=True)
 class RegularityReport:

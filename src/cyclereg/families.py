@@ -2,10 +2,11 @@
 the generators of those families and of G(n,k) and Q_n; and the
 parameter-level isomorphism rules of the families.
 
-The generators wrap the rows of `member_adjacency`, recognition replays
-labelings against them, and the 8-cycle tables look their pattern edges up
-in them, so the adjacency of each family is written only there.  Vertex ids
-follow one convention, which also decides each vertex's family name
+The generators wrap the rows of `member_adjacency` and recognition replays
+labelings against them, so the adjacency of each family is written only
+there.  (`tables` counts 8-cycles on the voltage base graphs of I and DP;
+the tests hold those counts to the oracle on the generated members.)
+Vertex ids follow one convention, which also decides each vertex's family name
 (`vertex_name`) and each edge's role:
 
 * I(n,j,k):  u_i = i, w_i = n + i; outer edges join two u's, inner edges

@@ -1,278 +1,90 @@
-"""Analytic 8-cycle classification for I- and DP-graphs, the published
-lists of their members with a constant per-edge 8-cycle count, and the
-closed-form cycle-regularity constants for folded cubes.
+"""Per-orbit 8-cycle counts of I- and DP-graphs, the published lists of
+their members with a constant per-edge 8-cycle count, and the closed-form
+cycle-regularity constants for folded cubes.
 
-Every 8-cycle class is stored as data: one symbolic representative pattern
-per sign variant, the per-class contribution to the per-orbit 8-cycle
-triple, and the orbit size under the rotation (plus, for DP-graphs, the
-copy swap).  The pattern is the only statement of the class: a variant is
-present exactly when its pattern instantiates to eight distinct vertices
-joined cyclically by edges of the member, as `families.member_adjacency`
-defines it.  The paper's existence condition (stated for j <= k) stands as
-a comment on each pattern, and no code reads it: the pattern's closing edge
-encodes the congruence, and the distinctness of its vertices rules out the
-degenerate solutions (the triangular prism satisfies a C7 congruence yet
-has no 8-cycle at all).  The patterns hold for j > k as well.
-
-The contribution triples follow the structural derivations: a cycle lying
-entirely on the outer rim contributes to the outer orbit, and so on.
+I(n,j,k) and DP(n,k) are Z_n-voltage lifts of small base graphs (Gross and
+Tucker, Topological Graph Theory, 1987).  The base graph of I has vertices
+u and w, a loop of voltage j at u, a loop of voltage k at w and a spoke u-w
+of voltage 0.  The base graph of DP has vertices u, w, x and y, loops of
+voltage 1 at u and x, spokes u-w and x-y of voltage 0, and two edges w-y of
+voltages +k and -k.  An 8-cycle of a member through a given edge is exactly
+one closed non-backtracking walk of 8 darts in the base graph that starts
+with that edge's dart, whose closing voltage a*j + b*k is 0 mod n and whose
+8 lifted vertices are distinct.  The walks depend on the family alone, so
+they are listed once, and a member only tests them.  The paper classifies
+the same 8-cycles by hand; the tests hold these counts to that
+classification and to the cycle oracle.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
+from itertools import accumulate
 
 from .cycles import OctagonTriple
-from .families import DPParams, IParams, member_adjacency
+from .families import DPParams, IParams
 
-# a vertex: side, coefficient of j, coefficient of k (DP-graphs have j = 1)
+# a base-graph edge: tail and head side, voltage as the coefficients of
+# (j, k) (DP-graphs have j = 1); the first three are the seeds of the outer,
+# spoke and inner orbits, the edges u_0 u_j, u_0 w_0 and w_0 w_k (w_0 y_k
+# for DP) of `scans.measured_octagon`
+BaseEdge = tuple[str, str, int, int]
+# a vertex of a walk: side, and the coefficients of j and k of its voltage
 Term = tuple[str, int, int]
 
-
-@dataclass(frozen=True)
-class CycleClass:
-    label: str
-    tau: OctagonTriple
-    gamma: str
-    patterns: tuple[tuple[Term, ...], ...]
-
-
-I_CYCLE_CLASSES: tuple[CycleClass, ...] = (
-    CycleClass(
-        "C*",
-        OctagonTriple(2, 4, 2),
-        "n",
-        (
-            # k != j and n > 4
-            (("w", 0, 0), ("w", 0, 1), ("u", 0, 1), ("u", 1, 1),
-             ("w", 1, 1), ("w", 1, 0), ("u", 1, 0), ("u", 0, 0)),
-        ),
-    ),
-    CycleClass(
-        "C0",
-        OctagonTriple(1, 2, 1),
-        "n/2",
-        (
-            # 2k + 2j = n
-            (("w", 0, 0), ("w", 0, 1), ("u", 0, 1), ("u", 1, 1),
-             ("w", 1, 1), ("w", 1, 2), ("u", 1, 2), ("u", 2, 2)),
-        ),
-    ),
-    CycleClass(
-        "C1",
-        OctagonTriple(1, 0, 0),
-        "n/8",
-        (
-            # 8j = n or 3n
-            tuple(("u", t, 0) for t in range(8)),
-        ),
-    ),
-    CycleClass(
-        "C2",
-        OctagonTriple(0, 0, 1),
-        "n/8",
-        (
-            # 8k = n or 3n
-            tuple(("w", 0, t) for t in range(8)),
-        ),
-    ),
-    CycleClass(
-        "C3",
-        OctagonTriple(1, 2, 5),
-        "n",
-        (
-            # 5k + j = n or 2n
-            (("w", 0, 0), ("w", 0, 1), ("w", 0, 2), ("w", 0, 3),
-             ("w", 0, 4), ("w", 0, 5), ("u", 0, 5), ("u", 1, 5)),
-            # 5k - j = n or 2n
-            (("w", 0, 0), ("w", 0, 1), ("w", 0, 2), ("w", 0, 3),
-             ("w", 0, 4), ("w", 0, 5), ("u", 0, 5), ("u", -1, 5)),
-        ),
-    ),
-    CycleClass(
-        "C4",
-        OctagonTriple(5, 2, 1),
-        "n",
-        (
-            # k + 5j = n or 2n
-            (("u", 0, 0), ("u", 1, 0), ("u", 2, 0), ("u", 3, 0),
-             ("u", 4, 0), ("u", 5, 0), ("w", 5, 0), ("w", 5, 1)),
-            # 5j - k = 2n or n or 0
-            (("u", 0, 0), ("u", 1, 0), ("u", 2, 0), ("u", 3, 0),
-             ("u", 4, 0), ("u", 5, 0), ("w", 5, 0), ("w", 5, -1)),
-        ),
-    ),
-    CycleClass(
-        "C5",
-        OctagonTriple(2, 2, 4),
-        "n",
-        (
-            # 4k + 2j = n or 2k + j = n
-            (("w", 0, 0), ("w", 0, 1), ("w", 0, 2), ("w", 0, 3),
-             ("w", 0, 4), ("u", 0, 4), ("u", 1, 4), ("u", 2, 4)),
-            # 4k - 2j = n
-            (("w", 0, 0), ("w", 0, 1), ("w", 0, 2), ("w", 0, 3),
-             ("w", 0, 4), ("u", 0, 4), ("u", -1, 4), ("u", -2, 4)),
-        ),
-    ),
-    CycleClass(
-        "C6",
-        OctagonTriple(4, 2, 2),
-        "n",
-        (
-            # 2k + 4j = n or k + 2j = n
-            (("u", 0, 0), ("u", 1, 0), ("u", 2, 0), ("u", 3, 0),
-             ("u", 4, 0), ("w", 4, 0), ("w", 4, 1), ("w", 4, 2)),
-            # 4j - 2k = n or 0
-            (("u", 0, 0), ("u", 1, 0), ("u", 2, 0), ("u", 3, 0),
-             ("u", 4, 0), ("w", 4, 0), ("w", 4, -1), ("w", 4, -2)),
-        ),
-    ),
-    CycleClass(
-        "C7",
-        OctagonTriple(3, 2, 3),
-        "n",
-        (
-            # 3k + 3j = n or 2n
-            (("w", 0, 0), ("w", 0, 1), ("w", 0, 2), ("w", 0, 3),
-             ("u", 0, 3), ("u", 1, 3), ("u", 2, 3), ("u", 3, 3)),
-            # 3k - 3j = n or 0
-            (("w", 0, 0), ("w", 0, 1), ("w", 0, 2), ("w", 0, 3),
-             ("u", 0, 3), ("u", -1, 3), ("u", -2, 3), ("u", -3, 3)),
-        ),
-    ),
+_I_BASE: tuple[BaseEdge, ...] = (("u", "u", 1, 0), ("u", "w", 0, 0), ("w", "w", 0, 1))
+_DP_BASE: tuple[BaseEdge, ...] = (
+    ("u", "u", 1, 0), ("u", "w", 0, 0), ("w", "y", 0, 1),
+    ("x", "x", 1, 0), ("x", "y", 0, 0), ("w", "y", 0, -1),
 )
 
 
-def _class_multiplicities(
-    p: IParams | DPParams, classes: tuple[CycleClass, ...]
-) -> list[tuple[CycleClass, int]]:
-    """Each class with the number of its patterns present in the member: the
-    pattern instantiates, through the id convention, to eight distinct
-    vertices joined cyclically by edges of `member_adjacency(p)`.  The
-    closing edge is looked up first; it is the one that fails for most
-    (n, j, k)."""
-    n, k = p.n, p.k
-    j = p.j if isinstance(p, IParams) else 1  # the DP rims step by 1
-    rows = list(member_adjacency(p))
-    base = {side: t * n for t, side in enumerate("uwxy")}  # the id convention
-
-    def present(pattern: tuple[Term, ...]) -> bool:
-        verts = [base[side] + (cj * j + ck * k) % n for side, cj, ck in pattern]
-        return len(set(verts)) == 8 and all(
-            b in rows[a] for a, b in zip(verts[-1:] + verts, verts))
-
-    return [(c, sum(map(present, c.patterns))) for c in classes]
+def _reverse(dart: BaseEdge) -> BaseEdge:
+    tail, head, a, b = dart
+    return head, tail, -a, -b
 
 
-def _predicted(classes: list[tuple[CycleClass, int]]) -> OctagonTriple:
-    return sum((c.tau.scaled(mult) for c, mult in classes), OctagonTriple(0, 0, 0))
+@cache
+def _closed_words(base: tuple[BaseEdge, ...], seed: int) -> tuple[tuple[Term, ...], ...]:
+    """The non-backtracking walks of 8 darts that start with the dart of
+    base[seed] and end at its tail, each as the 8 vertices it enters, the
+    start last: 59, 62 and 59 walks for I, 29, 34 and 29 for DP."""
+    darts = base + tuple(map(_reverse, base))
+    walks = [(base[seed],)]
+    for _ in range(7):
+        walks = [walk + (d,) for walk in walks for d in darts
+                 if d[0] == walk[-1][1] and d != _reverse(walk[-1])]
+    words = []
+    for walk in walks:
+        if walk[-1][1] == walk[0][0]:
+            _, heads, steps_j, steps_k = zip(*walk)
+            words.append(tuple(zip(heads, accumulate(steps_j), accumulate(steps_k))))
+    return tuple(words)
 
 
-def i_graph_cycle_classes(p: IParams) -> list[tuple[CycleClass, int]]:
-    """Each 8-cycle class with its multiplicity in I(n,j,k).
+def _octagon(base: tuple[BaseEdge, ...], n: int, j: int, k: int) -> OctagonTriple:
+    """Per seed, the closed words that lift to 8-cycles of the member: the
+    closing voltage is 0 mod n and the 8 lifted ids are distinct."""
+    offset = {side: t * n for t, side in enumerate("uwxy")}  # the id convention
 
-    A multiplicity of 2 means both sign variants of the class occur; among
-    connected I-graphs this happens only for the Moebius-Kantor relatives
-    G(8,2) and G(6,1), under any of their parameters.
-    """
-    return _class_multiplicities(p, I_CYCLE_CLASSES)
+    def lifts(word: tuple[Term, ...]) -> bool:
+        _, a, b = word[-1]
+        return (a * j + b * k) % n == 0 and len(
+            {offset[side] + (a * j + b * k) % n for side, a, b in word}) == 8
+
+    return OctagonTriple(*(sum(map(lifts, _closed_words(base, seed))) for seed in range(3)))
 
 
 def predict_i_octagon(p: IParams) -> OctagonTriple:
-    """Predicted per-orbit 8-cycle triple of I(n,j,k): sum of class
-    contributions over all present classes, counted with multiplicity."""
-    return _predicted(i_graph_cycle_classes(p))
-
-
-DP_CYCLE_CLASSES: tuple[CycleClass, ...] = (
-    CycleClass(
-        "C*",
-        OctagonTriple(2, 4, 2),
-        "2n",
-        (
-            # n >= 3
-            (("w", 0, 0), ("y", 0, 1), ("x", 0, 1), ("x", 1, 1),
-             ("y", 1, 1), ("w", 1, 0), ("u", 1, 0), ("u", 0, 0)),
-        ),
-    ),
-    CycleClass(
-        "C0",
-        OctagonTriple(1, 2, 1),
-        "n",
-        (
-            # 2k + 2 = n
-            (("w", 0, 0), ("y", 0, 1), ("x", 0, 1), ("x", 1, 1),
-             ("y", 1, 1), ("w", 1, 2), ("u", 1, 2), ("u", 2, 2)),
-        ),
-    ),
-    CycleClass(
-        "C1",
-        OctagonTriple(1, 2, 1),
-        "n",
-        (
-            # k = 1
-            (("w", 0, 0), ("y", 0, 1), ("x", 0, 1), ("x", -1, 1),
-             ("y", -1, 1), ("w", -1, 2), ("u", -1, 2), ("u", -2, 2)),
-        ),
-    ),
-    CycleClass(
-        "C2",
-        OctagonTriple(1, 0, 0),
-        "2",
-        (
-            # n = 8
-            tuple(("u", t, 0) for t in range(8)),
-        ),
-    ),
-    CycleClass(
-        "C3",
-        OctagonTriple(0, 0, 1),
-        "n/4",
-        (
-            # 8k = n or 3n
-            (("w", 0, 0), ("y", 0, 1), ("w", 0, 2), ("y", 0, 3),
-             ("w", 0, 4), ("y", 0, 5), ("w", 0, 6), ("y", 0, 7)),
-        ),
-    ),
-    CycleClass(
-        "C4",
-        OctagonTriple(2, 2, 4),
-        "2n",
-        (
-            # 4k + 2 = n or 2k + 1 = n
-            (("w", 0, 0), ("y", 0, 1), ("w", 0, 2), ("y", 0, 3),
-             ("w", 0, 4), ("u", 0, 4), ("u", 1, 4), ("u", 2, 4)),
-            # 4k - 2 = n
-            (("w", 0, 0), ("y", 0, 1), ("w", 0, 2), ("y", 0, 3),
-             ("w", 0, 4), ("u", 0, 4), ("u", -1, 4), ("u", -2, 4)),
-        ),
-    ),
-    CycleClass(
-        "C5",
-        OctagonTriple(4, 2, 2),
-        "2n",
-        (
-            # 2k + 4 = n
-            (("u", 0, 0), ("u", 1, 0), ("u", 2, 0), ("u", 3, 0),
-             ("u", 4, 0), ("w", 4, 0), ("y", 4, 1), ("w", 4, 2)),
-            # 2k - 4 = 0
-            (("u", 0, 0), ("u", 1, 0), ("u", 2, 0), ("u", 3, 0),
-             ("u", 4, 0), ("w", 4, 0), ("y", 4, -1), ("w", 4, -2)),
-        ),
-    ),
-)
-
-
-def dp_cycle_classes(p: DPParams) -> list[tuple[CycleClass, int]]:
-    """Each 8-cycle class with its multiplicity in DP(n,k); multiplicity 2
-    occurs only for DP(8,2), where both C5 patterns are present."""
-    return _class_multiplicities(p, DP_CYCLE_CLASSES)
+    """Predicted per-orbit 8-cycle triple (outer, spoke, inner) of I(n,j,k),
+    for any 1 <= j, k < n/2."""
+    return _octagon(_I_BASE, p.n, p.j, p.k)
 
 
 def predict_dp_octagon(p: DPParams) -> OctagonTriple:
     """Predicted per-orbit 8-cycle triple of DP(n,k)."""
-    return _predicted(dp_cycle_classes(p))
+    return _octagon(_DP_BASE, p.n, 1, p.k)
 
 
 #: Published [1,lambda,8]-cycle regular I-graphs (canonical parameters).

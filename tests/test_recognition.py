@@ -1,3 +1,4 @@
+import ast
 import dataclasses
 import functools
 import hashlib
@@ -346,6 +347,39 @@ def test_dp_near_misses_against_networkx(n, switches, seed):
         other = tuple(generate_dp(DPParams(n, k)).edges())
         assert profile != _short_cycle_profile(other) or not nx.vf2pp_is_isomorphic(
             nx.Graph(list(g.edges())), nx.Graph(other)), (k, res)
+
+
+@settings(max_examples=400, deadline=None)
+@given(n=st.integers(3, 15), switches=st.integers(0, 3), seed=st.integers(0, 2**32))
+def test_i_near_misses_against_networkx(n, switches, seed):
+    # I(n,j,k) with any j and k, disconnected members included, after 0-3
+    # random 2-switches, relabeled: recognize_i_graph accepts exactly when
+    # the graph is isomorphic to some I(n,j',k'), with a certificate that
+    # replays against the reference edge rule.  A rejection is proven by
+    # the short-cycle counts, and by VF2++ where they agree
+    nx = pytest.importorskip("networkx")
+    rng = random.Random(seed)
+    half = (n - 1) // 2
+    member = generate_i_graph(IParams(n, rng.randint(1, half), rng.randint(1, half)))
+    edges = set(member.edges())
+    for _ in range(switches):
+        edges = _two_switch(edges, rng)
+    g = shuffled(build_graph(member.n, sorted(edges)), seed)
+    res = recognize_i_graph(g)
+    if isinstance(res, Certificate):
+        assert res.family == "i-graph" and res.params[0] == n
+        ids = {v: "uw".index(name[0]) * n + int(name[1:]) for v, name in res.labeling.items()}
+        assert sorted(ids) == sorted(ids.values()) == list(range(g.n))
+        _, reference = reference_member_edges(IParams(*res.params))
+        assert {tuple(sorted((ids[a], ids[b]))) for a, b in g.edges()} == {
+            tuple(sorted(e)) for e in reference}
+        return
+    profile = _short_cycle_profile(tuple(g.edges()))
+    for j in range(1, half + 1):
+        for k in range(j, half + 1):
+            other = tuple(generate_i_graph(IParams(n, j, k)).edges())
+            assert profile != _short_cycle_profile(other) or not nx.vf2pp_is_isomorphic(
+                nx.Graph(list(g.edges())), nx.Graph(other)), (j, k, res)
 
 
 def test_dp_rejects_petersen():
@@ -889,3 +923,18 @@ def test_traced_benchmark_names_resolve():
         importlib.import_module(f"cyclereg.{mod}")
         for name in names:
             assert callable(getattr(sys.modules[f"cyclereg.{mod}"], name)), (mod, name)
+
+
+def test_benchmark_checker_imports_resolve():
+    # the benchmark's output checks import these names in the worker, so a
+    # renamed or deleted one fails the check of every oracle_scans run
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "checks.py"
+    if not path.exists():
+        pytest.skip("no perfbench/checks.py")
+    imports = [node for node in ast.walk(ast.parse(path.read_text()))
+               if isinstance(node, ast.ImportFrom) and (node.module or "").startswith("cyclereg")]
+    assert imports
+    for node in imports:
+        module = importlib.import_module(node.module)
+        for alias in node.names:
+            assert hasattr(module, alias.name), (node.module, alias.name)

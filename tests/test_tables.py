@@ -5,7 +5,6 @@ from typing import Callable
 import pytest
 
 from cyclereg import (
-    CycleClass,
     DPParams,
     FqLambda,
     FQParams,
@@ -14,10 +13,8 @@ from cyclereg import (
     UnsupportedPatternError,
     canonical_i_params,
     count_cycles_through_path,
-    dp_cycle_classes,
     fq_lambda,
     generate_folded_cube,
-    i_graph_cycle_classes,
     predict_dp_octagon,
     predict_i_octagon,
 )
@@ -26,9 +23,16 @@ from cyclereg.families import generate_dp, generate_i_graph
 from cyclereg.tables import (
     CYCLE_REGULAR_DP,
     CYCLE_REGULAR_I,
+    published_fq_lambda,
+)
+
+from paper_classes import (
     DP_CYCLE_CLASSES,
     I_CYCLE_CLASSES,
-    published_fq_lambda,
+    CycleClass,
+    classified_triple,
+    dp_cycle_classes,
+    i_graph_cycle_classes,
 )
 
 
@@ -163,27 +167,33 @@ def test_oracle_table_agreement_with_k_below_j():
 def test_class_multiplicities_pinned():
     # every I(n,j,k) with j <= k < n/2 (disconnected ones too) and every
     # DP(n,k) with n <= 60: a change to the class data or the presence
-    # check that keeps every multiplicity keeps the digest
+    # check that keeps every multiplicity keeps the digest.  The closed-word
+    # counts of the library equal the classification's triple there, and
+    # for every j > k as well
     rows = []
     regular_i, regular_dp = {}, {}
 
-    def add(p, classes):
+    def add(p, classes, predicted):
         rows.append((p, [(c.label, mult) for c, mult in classes]))
-        triple = sum((c.tau.scaled(mult) for c, mult in classes), OctagonTriple(0, 0, 0))
+        triple = classified_triple(classes)
+        assert predicted == triple, p
         return triple.sigma_outer if triple.is_constant() else None
 
     for n in range(3, 61):
         half = (n - 1) // 2
         for j in range(1, half + 1):
+            for k in range(1, j):
+                p = IParams(n, j, k)
+                assert predict_i_octagon(p) == classified_triple(i_graph_cycle_classes(p)), p
             for k in range(j, half + 1):
                 p = IParams(n, j, k)
-                lam = add(p, i_graph_cycle_classes(p))
+                lam = add(p, i_graph_cycle_classes(p), predict_i_octagon(p))
                 if lam is not None and gcd(gcd(n, j), k) == 1:
                     q = canonical_i_params(p)
                     regular_i[(q.n, q.j, q.k)] = lam
         for k in range(1, half + 1):
             p = DPParams(n, k)
-            lam = add(p, dp_cycle_classes(p))
+            lam = add(p, dp_cycle_classes(p), predict_dp_octagon(p))
             if lam is not None:
                 regular_dp[(n, k)] = lam
     digest = hashlib.sha256(repr(rows).encode()).hexdigest()
