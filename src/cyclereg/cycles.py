@@ -10,7 +10,8 @@ close the cycle through a neighbour of the first vertex.  The I and DP
 table scans use it.  `octagon_partition` (recognition) and
 `regularity_scan` (the FQ table scans, `analyze`) count the cycles of
 every edge or path at once with split-path joins instead; the tests check
-both against the oracle.
+both against the oracle.  The partition's join keeps one end table for the
+whole graph and computes edge slots only for the halves that pair.
 """
 
 from __future__ import annotations
@@ -166,6 +167,12 @@ def octagon_partition(g: LabeledGraph) -> dict[int, list[Edge]]:
     8-cycle has one smallest vertex s and one vertex t opposite it, so it
     is exactly one unordered pair of vertex-disjoint 4-edge halves s..t
     whose other vertices all exceed s, and each of its 8 edges gains 1.
+
+    Most halves share their end t with no other half, so one end table
+    serves every s: `mark[t] == s` once a half from s reaches t, and
+    `first[t]` holds its inner vertices.  Only a second half to t opens a
+    bucket there; each new half pairs at once with the halves before it,
+    and only a disjoint pair looks up the slots of its 8 edges.
     """
     adj = g.adj
     if not all(len(nbrs) == 3 for nbrs in adj):
@@ -173,37 +180,38 @@ def octagon_partition(g: LabeledGraph) -> dict[int, list[Edge]]:
     # cnt[3*u + i] counts for the edge u -> adj[u][i]; an edge's 8-cycle
     # count is the sum of its two slots
     cnt = [0] * (3 * g.n)
+    mark = [-1] * g.n
+    first: list = [None] * g.n  # (a, b, c), or the bucket of them once shared
     for s in range(g.n):
-        # the halves s-a-b-c-t by their end t: (a, b, c, then the 4 slots)
-        halves: dict[int, list[tuple[int, ...]]] = {}
-        for i, a in enumerate(adj[s]):
+        for a in adj[s]:
             if a < s:
                 continue
-            for j, b in enumerate(adj[a]):
+            for b in adj[a]:
                 if b <= s:
                     continue
-                for k, c in enumerate(adj[b]):
+                for c in adj[b]:
                     if c <= s or c == a:
                         continue
-                    for l, t in enumerate(adj[c]):
-                        if t > s and t != a and t != b:
-                            halves.setdefault(t, []).append(
-                                (a, b, c, 3 * s + i, 3 * a + j, 3 * b + k, 3 * c + l)
-                            )
-        for bucket in halves.values():
-            h = len(bucket)
-            if h < 2:
-                continue
-            gain = [0] * h
-            for x in range(h - 1):
-                inner = set(bucket[x][:3])
-                for y in range(x + 1, h):
-                    if inner.isdisjoint(bucket[y][:3]):
-                        gain[x] += 1
-                        gain[y] += 1
-            for half, add in zip(bucket, gain):
-                for slot in half[3:]:
-                    cnt[slot] += add
+                    for t in adj[c]:
+                        if t <= s or t == a or t == b:
+                            continue
+                        if mark[t] != s:
+                            mark[t] = s
+                            first[t] = (a, b, c)
+                            continue
+                        bucket = first[t]
+                        if bucket.__class__ is tuple:
+                            first[t] = bucket = [bucket]
+                        for half in bucket:
+                            if a in half or b in half or c in half:
+                                continue
+                            for x, y, z in (half, (a, b, c)):
+                                cnt[3 * s + adj[s].index(x)] += 1
+                                cnt[3 * x + adj[x].index(y)] += 1
+                                cnt[3 * y + adj[y].index(z)] += 1
+                                cnt[3 * z + adj[z].index(t)] += 1
+                        bucket.append((a, b, c))
+    del mark, first  # so that the classes are the peak, not the tables
     parts: dict[int, list[Edge]] = {}
     for u, nbrs in enumerate(adj):
         for i, v in enumerate(nbrs):

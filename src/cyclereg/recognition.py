@@ -253,11 +253,15 @@ def _frame(
     if partner is None:
         return Rejection("partition-shape", "spoke candidate is not a perfect matching")
     fnbrs = []
-    for v in range(g.n):
-        nb = [w for w in g.adj[v] if w != partner[v]]
-        if len(nb) != 2:
+    for v, nb in enumerate(g.adj):
+        p = partner[v]
+        if len(nb) == 3 and p in nb:
+            a, b, c = nb
+            fnbrs.append((b, c) if a == p else (a, c) if b == p else (a, b))
+        elif len(nb) == 2 and p not in nb:
+            fnbrs.append(nb)
+        else:
             return Rejection("partition-shape", "complement of spokes is not 2-regular")
-        fnbrs.append((nb[0], nb[1]))
     seen = [False] * g.n
     cycles = []
     for s, (nxt, _) in enumerate(fnbrs):
@@ -292,12 +296,12 @@ def _spoke_candidate(g: LabeledGraph, class_edges: list[Edge]) -> list[Edge] | N
     if _matching_partner(g, class_edges) is not None:
         return class_edges
     in_class = set(class_edges)
-    touched = set()
+    touched = bytearray(g.n)
     for u, v in class_edges:
-        touched.add(u)
-        touched.add(v)
+        touched[u] = touched[v] = 1
     candidate = [
-        e for e in g.edges() if e not in in_class and (e[0] in touched or e[1] in touched)
+        (u, v) for u, nbrs in enumerate(g.adj) for v in nbrs
+        if u < v and (touched[u] or touched[v]) and (u, v) not in in_class
     ]
     if _matching_partner(g, candidate) is not None:
         return candidate

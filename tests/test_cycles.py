@@ -1,4 +1,6 @@
+import itertools
 import random
+import tracemalloc
 from collections import Counter
 
 import pytest
@@ -29,6 +31,7 @@ from cyclereg import cycles
 from conftest import (
     count_cycles,
     enumerate_cycles,
+    peak_memory,
     random_cubic,
     reference_regularity_scan,
     shuffled,
@@ -318,13 +321,61 @@ def _check_join_against_oracle(g):
     assert list(octagon_partition(g).items()) == list(_oracle_partition(g).items())
 
 
-def test_octagon_partition_matches_oracle_on_i_and_dp_grids():
+def _i_and_dp_grid():
     grid = [generate_i_graph(IParams(n, j, k))
             for n in range(3, 21) for j in range(1, (n + 1) // 2) for k in range(j, (n + 1) // 2)]
     grid += [generate_dp(DPParams(n, k)) for n in range(3, 21) for k in range(1, (n + 1) // 2)]
     assert len(grid) == 420
-    for g in grid:
+    return grid
+
+
+def test_octagon_partition_matches_oracle_on_i_and_dp_grids():
+    for g in _i_and_dp_grid():
         _check_join_against_oracle(g)
+
+
+def test_octagon_partition_matches_oracle_on_relabeled_i_and_dp_grids():
+    # the identity labels of the generators visit each vertex's halves in
+    # one fixed order; relabeling changes which s owns each 8-cycle and the
+    # order in which its two halves reach their end
+    for seed, g in enumerate(_i_and_dp_grid()):
+        _check_join_against_oracle(shuffled(g, seed))
+
+
+_K4 = build_graph(4, list(itertools.combinations(range(4), 2)))
+_K33 = build_graph(6, [(a, b) for a in range(3) for b in range(3, 6)])
+_HEAWOOD = build_graph(14, [(i, (i + 1) % 14) for i in range(14)] + [(i, (i + 5) % 14) for i in range(0, 14, 2)])
+
+
+@pytest.mark.parametrize("g", [
+    _K33,
+    generate_hypercube(3),
+    _HEAWOOD,
+    generate_gp(8, 3),  # Moebius-Kantor
+    generate_gp(10, 2),  # dodecahedron
+    generate_gp(10, 3),  # Desargues
+    build_graph(10, list(_K4.edges()) + [(a + 4, b + 4) for a, b in _K33.edges()]),
+], ids=["K33", "Q3", "Heawood", "G(8,3)", "G(10,2)", "G(10,3)", "K4+K33"])
+def test_octagon_partition_matches_oracle_on_symmetric_cubic(g):
+    # up to six halves from one s share an end here, all of K_3,3's and
+    # none of them disjoint
+    _check_join_against_oracle(g)
+    _check_join_against_oracle(shuffled(g, g.n))
+
+
+def test_octagon_partition_holds_no_end_table():
+    # the end tables are freed before the classes are built, so the peak
+    # stays near the size of the result (1.2x; 1.9x with the tables kept)
+    g = shuffled(generate_gp(4000, 2), 4000)
+    tracemalloc.start()
+    try:
+        parts = octagon_partition(g)
+        result = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    del parts
+    peak = peak_memory(octagon_partition, g)
+    assert peak <= 1.5 * result, (peak, result)
 
 
 @given(st.integers(2, 59), st.integers(0, 2**32))

@@ -24,6 +24,7 @@ from cyclereg import (
     connected_components,
     determine_diagonals,
     dp_canonical_params,
+    exact_dp_isomorphism,
     exact_i_isomorphism,
     extend_fq,
     extend_i,
@@ -161,6 +162,50 @@ def test_exact_i_isomorphism_wrong_matching_rejected():
     assert len({x for e in wrong for x in e}) == 16
     res = extend_i(g, [tuple(sorted(e)) for e in wrong])
     assert isinstance(res, Rejection)
+
+
+_G10_3 = generate_gp(10, 3)  # 20 vertices: an order both I- and DP-graphs allow
+_G10_3_SPOKES = [(i, 10 + i) for i in range(10)]
+_NOT_2_REGULAR = ("partition-shape", "complement of spokes is not 2-regular")
+_NOT_A_MATCHING = ("partition-shape", "spoke candidate is not a perfect matching")
+
+
+def _g10_3_edited(drop=(), add=()):
+    return build_graph(20, [e for e in _G10_3.edges() if e not in drop] + list(add))
+
+
+@pytest.mark.parametrize("g, spokes, expected", [
+    # spokes that are not edges of g
+    (_G10_3, [(i, 10 + (i + 1) % 10) for i in range(10)], _NOT_2_REGULAR),
+    # not cubic: u_0 and w_0 lose their spoke, which stays in the matching,
+    # so both keep two non-spoke neighbours and pass the 2-regular check
+    (_g10_3_edited(drop=[(0, 10)]), _G10_3_SPOKES, ("labeling-inconsistent", "")),
+    # not cubic: u_0 and u_1 keep their spoke and one rim edge
+    (_g10_3_edited(drop=[(0, 1)]), _G10_3_SPOKES, _NOT_2_REGULAR),
+    # not cubic: u_0 and u_5 of degree 4
+    (_g10_3_edited(add=[(0, 5)]), _G10_3_SPOKES, _NOT_2_REGULAR),
+    # neither a matching nor a rim: the first ten edges
+    (_G10_3, list(_G10_3.edges())[:10], _NOT_A_MATCHING),
+    # the outer rim is a class, but not a matching
+    (_G10_3, [(i, i + 1) for i in range(9)] + [(0, 9)], _NOT_A_MATCHING),
+], ids=["non-edge spokes", "degree 2, spoke kept", "degree 2, rim edge gone", "degree 4",
+        "not a matching", "rim as spokes"])
+def test_spoke_frame_rejections_pinned(g, spokes, expected):
+    for res in (exact_i_isomorphism(g, spokes), exact_dp_isomorphism(g, spokes), extend_i(g, spokes)):
+        assert isinstance(res, Rejection) and (res.reason, res.detail) == expected
+
+
+def test_spoke_candidate_of_a_class():
+    # a rim class gives the non-class edges at its vertices in g.edges()
+    # order; a class that is neither a matching nor a rim gives none
+    from cyclereg.recognition import _spoke_candidate
+
+    rim = [(i, i + 1) for i in range(9)] + [(0, 9)]
+    assert _spoke_candidate(_G10_3, sorted(rim)) == _G10_3_SPOKES
+    inner = [e for e in _G10_3.edges() if e[0] >= 10]
+    assert _spoke_candidate(_G10_3, inner) == _G10_3_SPOKES
+    assert _spoke_candidate(_G10_3, _G10_3_SPOKES) == _G10_3_SPOKES
+    assert _spoke_candidate(_G10_3, list(_G10_3.edges())[:10]) is None
 
 
 def test_constant_octagon_branch_all_specials():
