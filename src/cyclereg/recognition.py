@@ -131,13 +131,13 @@ def verify_certificate(g: LabeledGraph, cert: Certificate) -> bool:
         p = _PARAMS[cert.family](*cert.params)
         canon = tuple(cert.canonical_params)
         names = [cert.labeling[v] for v in range(g.n)]
-        extra = len(cert.labeling) != g.n
+        bad = len(cert.labeling) != g.n or any(type(x) is not int for x in cert.params)
     except (KeyError, TypeError, ValueError):  # unknown family, bad params, missing vertex
         return False
     # the name table below spans the member's ids; a folded cube's order
     # 2^(n-1) is compared by exponent first, so a huge n builds no integer,
     # and the canonical form is computed only for a member of g's order
-    if extra or isinstance(p, FQParams) and p.n > g.n.bit_length():
+    if bad or isinstance(p, FQParams) and p.n > g.n.bit_length():
         return False
     if member_order(p) != g.n or canon != astuple(_canonical(p)):
         return False
@@ -223,12 +223,12 @@ def find_isomorphism(g1: LabeledGraph, g2: LabeledGraph) -> dict[int, int] | Non
 
 
 def _matching_partner(g: LabeledGraph, edges: list[Edge]) -> list[int] | None:
-    """Partner array when `edges` is a perfect matching of g, else None."""
+    """Partner array when `edges` is a perfect matching of ids 0..g.n-1, else None."""
     if 2 * len(edges) != g.n:
         return None
     partner = [-1] * g.n
     for u, v in edges:
-        if partner[u] != -1 or partner[v] != -1:
+        if not (0 <= u < g.n and 0 <= v < g.n) or partner[u] != -1 or partner[v] != -1:
             return None
         partner[u] = v
         partner[v] = u
@@ -317,31 +317,6 @@ def _minimal_classes(parts: dict[int, list[Edge]]) -> list[list[Edge]]:
 # I-graph recognition
 
 
-def _solve_congruences(constraints: list[tuple[int, int]], n: int) -> tuple[int, int] | None:
-    """Solve {a*k = b (mod n)} for k; returns (residue, modulus) or None."""
-    r, mod = 0, 1
-    for a, b in constraints:
-        a %= n
-        b %= n
-        if a == 0:
-            if b != 0:
-                return None
-            continue
-        d = gcd(a, n)
-        if b % d:
-            return None
-        m2 = n // d
-        r2 = (b // d) * pow(a // d, -1, m2) % m2
-        g2 = gcd(mod, m2)
-        if (r2 - r) % g2:
-            return None
-        lcm = mod // g2 * m2
-        t = ((r2 - r) // g2 * pow(mod // g2, -1, m2 // g2)) % (m2 // g2)
-        r = (r + mod * t) % lcm
-        mod = lcm
-    return r, mod
-
-
 def _i_replayed(
     g: LabeledGraph, n: int, j: int, k: int, u_idx: dict[int, int], w_idx: dict[int, int]
 ) -> tuple[IParams, dict[int, int]] | None:
@@ -358,10 +333,12 @@ def exact_i_isomorphism(
     """Labeling of g as an I-graph given its spoke matching.
 
     The complement of the spokes must split into rims: two n-cycles, or
-    cycles of two lengths, n in each.  One longest cycle is the outer rim
-    u_0, u_j, ... (`_i_label_attempt`); every candidate labeling built from
-    it is replayed against I(n,j,k), and the first one that replays is
-    returned.
+    cycles of two lengths, n in each.  One rim is labeled u_0, u_j, ...
+    (`_i_label_attempt`): the first n-cycle, since a labeling from the other
+    one swaps the rims into one from it, or else the first longest cycle.
+    With several rims, k is read off where the inner walk from w_0 first
+    meets a rim partner; all k it allows give one labeling up to a unit of
+    Z_n, so only one is replayed against I(n,j,k) per inner orientation.
     """
     frame = _order_rejection(g, 2) or _frame(g, spokes)
     if isinstance(frame, Rejection):
@@ -374,24 +351,18 @@ def exact_i_isomorphism(
     if len(lengths) == 1:
         if len(cycles) != 2 or len(cycles[0]) != n:
             return Rejection("cycle-collection-shape", "expected two n-cycles")
-        rims = cycles
-        j = 1
+        rim, j = cycles[0], 1
     else:
         l1 = lengths[1]
         long_cycles = [c for c in cycles if len(c) == l1]
         short_total = sum(len(c) for c in cycles if len(c) != l1)
         if len(long_cycles) * l1 != n or short_total != n:
             return Rejection("cycle-collection-shape", "cycle lengths do not split n + n")
-        rims = [long_cycles[0]]
-        j = len(long_cycles)
+        rim, j = long_cycles[0], len(long_cycles)
     if 2 * j >= n:
         return Rejection("cycle-collection-shape", "too many rim cycles")
-
-    for rim in rims:
-        res = _i_label_attempt(g, n, j, rim, partner, fnbrs)
-        if res is not None:
-            return res[0], _named(*res)
-    return Rejection("labeling-inconsistent")
+    res = _i_label_attempt(g, n, j, rim, partner, fnbrs)
+    return Rejection("labeling-inconsistent") if res is None else (res[0], _named(*res))
 
 
 def _i_label_attempt(
@@ -405,13 +376,17 @@ def _i_label_attempt(
     """The first replaying labeling with rim[t] as u_{tj}, or None.
 
     A rim of all n u's labels every vertex, and k is read off one inner
-    edge.  With several rims, the u_{tj+k} form another outer cycle, the
-    shadow rim.  It is walked from the spoke partner of each neighbour z of
-    w_0, both ways (four walks), and kept when it has the rim's length and
-    the spoke partner of its t-th vertex is an inner neighbour of w_{tj}.
-    The positions of the w_{tj} and of the shadow's partners on the inner
-    cycle through w_0 and z give congruences for k; each solution that
-    keeps gcd(n,j,k) = 1 and that cycle's length goes to `_i_complete`.
+    edge.  With several rims (j of them, each of l1 = n/j), the inner cycle
+    through w_0 is walked towards each inner neighbour z of w_0 as w_0, w_k,
+    w_2k, ...  As gcd(j,k) = 1, its first vertex after w_0 that is a rim
+    partner comes at step j, as w_{jk} = w_{t0 j}, so k = t0 (mod l1).  Why
+    one k is enough: every such k with gcd(j,k) = 1 has the same lattice
+    <(l1,0), (-t0,j)> of (rim step, inner step) pairs that land on index 0,
+    of index n, so their labelings differ by a unit of Z_n that carries one
+    I(n,j,k) onto the other; if any replays, the smallest does, and only it
+    goes to `_i_complete`.  The shadow rim u_{tj+k} is walked from z's spoke
+    partner both ways, and kept when it has the rim's length and the spoke
+    partner of its t-th vertex is an inner neighbour of w_{tj}.
     """
     l1 = len(rim)
     u_idx = {v: (t * j) % n for t, v in enumerate(rim)}
@@ -434,31 +409,20 @@ def _i_label_attempt(
         return _i_replayed(g, n, j, k, u_idx, w_idx)
 
     for z1 in fnbrs[w0]:
+        ring = _walk(fnbrs, w0, z1) + [w0]
+        if next(s for s in range(1, len(ring)) if ring[s] in w_idx) != j:
+            continue
+        k = w_idx[ring[j]] // j or l1
+        while 2 * k < n and gcd(j, k) > 1:
+            k += l1
+        if 2 * k >= n:
+            continue
         for p2 in fnbrs[partner[z1]]:
             zs = [partner[p] for p in _walk(fnbrs, partner[z1], p2)]
-            if len(zs) != l1 or any(zs[t] not in fnbrs[partner[v]] for t, v in enumerate(rim)):
-                continue
-            shadow_w = {zs[t]: (t * j) % n for t in range(l1)}
-            inner = _walk(fnbrs, w0, zs[0])
-            ld = len(inner)
-            constraints: list[tuple[int, int]] = [(ld, 0)]
-            for m_pos in range(1, ld):
-                v = inner[m_pos]
-                if v in w_idx:
-                    constraints.append((m_pos, w_idx[v]))
-                elif v in shadow_w:
-                    constraints.append((m_pos - 1, shadow_w[v]))
-            solved = _solve_congruences(constraints, n)
-            if solved is None:
-                continue
-            r, mod = solved
-            k = r if r else mod
-            while 2 * k < n:
-                if gcd(gcd(n, j), k) == 1 and n // gcd(n, k) == ld:
-                    res = _i_complete(g, n, j, k, rim, zs, partner, fnbrs)
-                    if res is not None:
-                        return res
-                k += mod
+            if len(zs) == l1 and all(zs[t] in fnbrs[partner[v]] for t, v in enumerate(rim)):
+                res = _i_complete(g, n, j, k, rim, zs, partner, fnbrs)
+                if res is not None:
+                    return res
     return None
 
 

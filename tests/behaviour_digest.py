@@ -4,11 +4,20 @@ trees can be shown to behave the same:
     PYTHONPATH=src python tests/behaviour_digest.py
 
 Run it on each tree (with that tree's `src/` first on the path) and
-compare the printed digests.  The corpus is every I(n,j,k) and DP(n,k)
-with n <= 24 and FQ_1..FQ_10, each relabeled and each 2-switched, plus 28
-random cubic graphs, all from fixed seeds.  The digest covers:
-- the `recognize` outcome of every input: the certificate (family,
-  parameters and labeling) or the rejection's reason and detail;
+compare the printed digests.  The corpus, all from fixed seeds, is:
+- every I(n,j,k) and DP(n,k) with n <= 24 and FQ_1..FQ_10, each relabeled
+  and each 2-switched, plus 28 random cubic graphs;
+- every connected I(n,j,k) with 25 <= n <= 48 whose rims both split, so
+  that its labeling walks the inner cycles, relabeled;
+- three frame-preserving near-misses of each of these, given with their
+  own spokes: the spokes of the inner cycle through w_0 reflected, and the
+  spokes of u_0 and u_j, and of u_0 and u_k, swapped.  `recognize`
+  rejects the non-members among them in the octagon partition, so only
+  `exact_i_isomorphism` puts the labeler to them.
+The digest covers:
+- the outcome of every input, `recognize` or, given spokes,
+  `exact_i_isomorphism`: the certificate or labeling (family, parameters
+  and labeling) or the rejection's reason and detail;
 - `list(octagon_partition(g).items())` of every cubic input, so the
   classes, the edge order and the key order;
 - the stdout and exit code of `analyze - --partition` on every cubic input.
@@ -23,6 +32,7 @@ import hashlib
 import io
 import random
 import sys
+from math import gcd
 
 from cyclereg import (
     Certificate,
@@ -31,6 +41,7 @@ from cyclereg import (
     IParams,
     build_graph,
     emit_edge_list,
+    exact_i_isomorphism,
     generate_dp,
     generate_folded_cube,
     generate_i_graph,
@@ -43,6 +54,7 @@ from cyclereg.cli import main as cli_main
 MAX_N = 24
 FQ_DIMS = range(1, 11)
 RANDOM_CUBIC = 28
+MULTI_RIM_N = range(25, 49)
 
 
 def members():
@@ -56,12 +68,38 @@ def members():
         yield generate_folded_cube(FQParams(d))
 
 
-def relabeled(n, edges, rng):
+def multi_rim_members():
+    for n in MULTI_RIM_N:
+        for j in range(1, (n + 1) // 2):
+            for k in range(1, (n + 1) // 2):
+                if gcd(n, j) > 1 and gcd(n, k) > 1 and gcd(gcd(n, j), k) == 1:
+                    yield IParams(n, j, k)
+
+
+def relabeled(n, edges, rng, spokes=()):
+    """g relabeled and its edges shuffled; with `spokes`, also the spokes
+    relabeled."""
     perm = list(range(n))
     rng.shuffle(perm)
     out = [(perm[a], perm[b]) for a, b in edges]
     rng.shuffle(out)
-    return build_graph(n, out)
+    g = build_graph(n, out)
+    return (g, [(perm[a], perm[b]) for a, b in spokes]) if spokes else g
+
+
+def frame_near_misses(p, rng):
+    """I(n,j,k) with the spoke of each u_i moved to w_{w_of[i]}, the rims
+    untouched, for the three moves of the module docstring."""
+    n, j, k = p.n, p.j, p.k
+    rims = [e for e in generate_i_graph(p).edges() if e[1] - e[0] != n]
+    moves = [list(range(n)) for _ in range(3)]
+    for s in range(n // gcd(n, k)):
+        moves[0][s * k % n] = -s * k % n
+    for w_of, a in zip(moves[1:], (j, k)):
+        w_of[0], w_of[a] = a, 0
+    for w_of in moves:
+        spokes = [(i, n + w_of[i]) for i in range(n)]
+        yield relabeled(2 * n, rims + spokes, rng, spokes)
 
 
 def two_switched(edges, rng, tries=200):
@@ -95,12 +133,18 @@ def corpus():
     for i in range(RANDOM_CUBIC):
         n = 8 + 2 * i
         yield relabeled(n, random_cubic(n, rng), rng)
+    for p in multi_rim_members():
+        g = generate_i_graph(p)
+        yield relabeled(g.n, list(g.edges()), rng)
+        yield from frame_near_misses(p, rng)
 
 
-def outcome(g):
-    res = recognize(g)
+def outcome(g, spokes=None):
+    res = recognize(g) if spokes is None else exact_i_isomorphism(g, spokes)
     if isinstance(res, Certificate):
         return ("accept", res.family, res.params, res.canonical_params, sorted(res.labeling.items()))
+    if isinstance(res, tuple):
+        return ("accept", res[0], sorted(res[1].items()))
     return ("reject", res.reason, res.detail)
 
 
@@ -119,9 +163,10 @@ def analyze_partition(g):
 def main():
     digest = hashlib.sha256()
     inputs = accepts = cubic = 0
-    for g in corpus():
+    for item in corpus():
+        g, spokes = item if isinstance(item, tuple) else (item, None)
         inputs += 1
-        res = outcome(g)
+        res = outcome(g, spokes)
         accepts += res[0] == "accept"
         digest.update(repr(res).encode())
         if is_regular(g, 3):

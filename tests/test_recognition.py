@@ -6,6 +6,7 @@ import importlib.util
 import random
 import sys
 import tracemalloc
+from collections import Counter
 from math import gcd
 from pathlib import Path
 
@@ -188,8 +189,11 @@ def _g10_3_edited(drop=(), add=()):
     (_G10_3, list(_G10_3.edges())[:10], _NOT_A_MATCHING),
     # the outer rim is a class, but not a matching
     (_G10_3, [(i, i + 1) for i in range(9)] + [(0, 9)], _NOT_A_MATCHING),
+    # spoke ids outside 0..19
+    (_G10_3, [(0, 99)] + _G10_3_SPOKES[1:], _NOT_A_MATCHING),
+    (_G10_3, [(0, -10)] + _G10_3_SPOKES[1:], _NOT_A_MATCHING),
 ], ids=["non-edge spokes", "degree 2, spoke kept", "degree 2, rim edge gone", "degree 4",
-        "not a matching", "rim as spokes"])
+        "not a matching", "rim as spokes", "spoke id too large", "negative spoke id"])
 def test_spoke_frame_rejections_pinned(g, spokes, expected):
     for res in (exact_i_isomorphism(g, spokes), exact_dp_isomorphism(g, spokes), extend_i(g, spokes)):
         assert isinstance(res, Rejection) and (res.reason, res.detail) == expected
@@ -216,16 +220,11 @@ def test_constant_octagon_branch_all_specials():
         assert cert.canonical_params == (n, j, k)
 
 
-def _spoke_swapped(p, seed):
-    """I(n,j,k) with the w-ends of 1-3 seeded pairs of spokes swapped, then
+def _respoked(p, w_of, rng):
+    """I(n,j,k) with the spoke of each u_i moved to w_{w_of[i]}, then
     relabeled: the rims are untouched, only the matching between them moves.
     Returns the graph and its (relabeled) spokes."""
     n = p.n
-    rng = random.Random(seed)
-    w_of = list(range(n))
-    picked = rng.sample(range(n), 2 * rng.randint(1, 3))
-    for a, b in zip(picked[::2], picked[1::2]):
-        w_of[a], w_of[b] = w_of[b], w_of[a]
     order, edges = reference_member_edges(p)
     spokes = [(i, n + w_of[i]) for i in range(n)]
     edges = [(a, b) for a, b in edges if b - a != n] + spokes
@@ -233,6 +232,27 @@ def _spoke_swapped(p, seed):
     rng.shuffle(perm)
     g = build_graph(order, [(perm[a], perm[b]) for a, b in edges])
     return g, [(perm[a], perm[b]) for a, b in spokes]
+
+
+def _spoke_swapped(p, seed):
+    """I(n,j,k) with the w-ends of 1-3 seeded pairs of spokes swapped."""
+    rng = random.Random(seed)
+    w_of = list(range(p.n))
+    picked = rng.sample(range(p.n), 2 * rng.randint(1, 3))
+    for a, b in zip(picked[::2], picked[1::2]):
+        w_of[a], w_of[b] = w_of[b], w_of[a]
+    return _respoked(p, w_of, rng)
+
+
+def _spoke_reflected(p, seed):
+    """I(n,j,k) with the spokes of the inner cycle through w_0 reflected:
+    u_{sk} goes to w_{-sk}.  Where that cycle has all n w's, this is an
+    automorphism of it and the graph stays a member."""
+    n, k = p.n, p.k
+    w_of = list(range(n))
+    for s in range(n // gcd(n, k)):
+        w_of[s * k % n] = -s * k % n
+    return _respoked(p, w_of, random.Random(seed))
 
 
 def test_spoke_swapped_multi_rim_near_misses():
@@ -251,6 +271,47 @@ def test_spoke_swapped_multi_rim_near_misses():
                         assert isinstance(res, Rejection) or verify_certificate(g, res), (n, j, k)
                         accepted += isinstance(res, Certificate)
     assert accepted > 0
+
+
+def test_i_labeling_attempts_bounded(monkeypatch):
+    # k is read off the inner walk, so each orientation of the inner cycle
+    # through w_0 gives at most one labeling to replay, and of two n-cycle
+    # rims only the first is labeled: a near-miss costs O(n), not O(n) per k
+    import cyclereg.recognition as recognition
+
+    calls = Counter()
+    for name in ("_i_complete", "_i_label_attempt"):
+        def counted(*args, _f=getattr(recognition, name), _name=name):
+            calls[_name] += 1
+            return _f(*args)
+
+        monkeypatch.setattr(recognition, name, counted)
+    for p, a, most in ((IParams(3660, 60, 61), 60, 2), (IParams(61, 1, 11), 1, 0)):
+        w_of = list(range(p.n))
+        w_of[0], w_of[a] = a, 0
+        g, spokes = _respoked(p, w_of, random.Random(1))
+        calls.clear()
+        res = exact_i_isomorphism(g, spokes)
+        assert isinstance(res, Rejection) and res.reason == "labeling-inconsistent"
+        assert calls["_i_label_attempt"] == 1 and calls["_i_complete"] <= most, (p, calls)
+
+
+def test_multi_rim_certificates_and_reflected_near_misses_pinned():
+    # every connected I(n,j,k) with 25 <= n <= 60 whose rims both split, so
+    # that its labeling reads k off the inner walk: the certificate of one
+    # relabeling, and exact_i_isomorphism on its reflected-spoke near-miss
+    digest = hashlib.sha256()
+    for n in range(25, 61):
+        for j in range(1, (n + 1) // 2):
+            for k in range(1, (n + 1) // 2):
+                if gcd(n, j) == 1 or gcd(n, k) == 1 or gcd(gcd(n, j), k) > 1:
+                    continue
+                seed = n * 997 + j * 31 + k
+                _pin(digest, recognize_i_graph(shuffled(generate_i_graph(IParams(n, j, k)), seed)))
+                res = exact_i_isomorphism(*_spoke_reflected(IParams(n, j, k), seed))
+                key = res if isinstance(res, Rejection) else (res[0], sorted(res[1].items()))
+                digest.update(repr(key).encode())
+    assert digest.hexdigest() == "406cc488da2a2d3be4203d03e0c257487e2b56b9cb07becc17c511148c656199"
 
 
 def _pin(digest, res):
@@ -703,8 +764,14 @@ def test_verify_certificate_rejects_partial_labeling():
 def test_verify_certificate_rejects_malformed_params():
     g = generate_gp(5, 2)
     cert = _accept(recognize_i_graph(g))
-    for family, params in (("k-graph", (5, 1, 2)), ("i-graph", (5, 2)), ("i-graph", (5, 1, 3))):
-        assert not verify_certificate(g, dataclasses.replace(cert, family=family, params=params))
+    for family, params in (
+        ("k-graph", (5, 1, 2)), ("i-graph", (5, 2)), ("i-graph", (5, 1, 3)),
+        # parameters that are not ints
+        ("i-graph", (10.0, 1, 2)), ("i-graph", (10, 1, 2.0)), ("i-graph", (5, True, 2)),
+        ("i-graph", (5.0, 1, 2)), ("dp-graph", (10.0, 2)), ("folded-cube", (5.0,)),
+    ):
+        res = verify_certificate(g, dataclasses.replace(cert, family=family, params=params))
+        assert res is False, (family, params)
 
 
 def test_verify_certificate_order_and_size_guards():
