@@ -171,7 +171,7 @@ def cmd_recognize(args: argparse.Namespace) -> int:
 
 #: Largest cycle length `analyze` scans.  `regularity_scan` costs grow
 #: exponentially in m: on FQ_6 (32 vertices) with --l 1 the scan takes
-#: about 0.05 s at m = 8, 0.3-0.6 s at m = 10 and 5-6 s at m = 12 (2-core
+#: about 0.01 s at m = 8, 0.06 s at m = 10 and 0.3 s at m = 12 (2-core
 #: VM, Python 3.11).  The paper's constants need m <= 8.
 MAX_ANALYZE_M = 10
 
@@ -211,7 +211,7 @@ def cmd_analyze(args: argparse.Namespace) -> int:
 #: Largest dimension the FQ table scans (fq4, fq6, fq26, fq8conj) reach.
 #: They count cycles in FQ_n by brute force, at a cost that grows faster
 #: than the 2^(n-1) vertices: on a 2-core VM the fq8conj check takes about
-#: 1.5 s at FQ_9 alone and 5 s at FQ_10, and fq26 1.7 s at FQ_11, 3.5
+#: 0.5 s at FQ_9 alone and 1.6 s at FQ_10, and fq26 1.1 s at FQ_11, 3.2
 #: times its FQ_10 time.  The cap stays 9 so that each --max-n keeps its exit code.
 MAX_FQ_TABLE_N = 9
 

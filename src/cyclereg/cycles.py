@@ -11,12 +11,18 @@ table scans use it.  `octagon_partition` (recognition) and
 `regularity_scan` (the FQ table scans, `analyze`) count the cycles of
 every edge or path at once with split-path joins instead; the tests check
 both against the oracle.  The partition's join keeps one end table for the
-whole graph and computes edge slots only for the halves that pair.
+whole graph and computes edge slots only for the halves that pair.  The
+scan's join reads each half's partners off per-vertex clash masks and
+credits each window once per prefix that the halves share.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
+from collections import Counter
 from dataclasses import dataclass
+from itertools import chain, compress
+from operator import itemgetter
 from typing import Iterator, Sequence
 
 from .graph import Edge, LabeledGraph, bfs
@@ -282,59 +288,96 @@ def regularity_scan(g: LabeledGraph, l: int, m: int) -> RegularityReport:
     return RegularityReport(l, m, first_count if first_path is not None else 0)
 
 
-def _halves(adj: Sequence[Sequence[int]], s: int, h: int) -> dict[int, list[Path]]:
-    """The paths of h edges from s whose other vertices all exceed s, by
-    their end."""
-    paths: list[Path] = [(s,)]
-    for _ in range(h):
-        paths = [p + (w,) for p in paths for w in adj[p[-1]] if w > s and w not in p]
-    out: dict[int, list[Path]] = {}
-    for p in paths:
-        out.setdefault(p[-1], []).append(p)
+def _by_end(paths: list[Path]) -> dict[int, list[int]]:
+    """The indices of the paths, by their end."""
+    out: dict[int, list[int]] = {}
+    for i, p in enumerate(paths):
+        out.setdefault(p[-1], []).append(i)
     return out
+
+
+def _disjoint(halves: list[Path], partners: list[Path]) -> tuple[list[int], dict[int, list[int]]]:
+    """For each half, the bitmask of the partners to its end t whose
+    interiors avoid its own (bit j for the j-th partner to t), from one
+    clash mask per vertex and t; and the partners by their end."""
+    at = _by_end(partners)
+    masks = [0] * len(halves)
+    for t, xs in (at if halves is partners else _by_end(halves)).items():
+        occ: dict[int, int] = {}  # vertex -> the partners to t whose interior holds it
+        bit = 1
+        for y in at.get(t, ()):
+            for v in partners[y][1:-1]:
+                occ[v] = occ.get(v, 0) | bit
+            bit <<= 1
+        for x in xs:
+            clash = 0
+            for v in halves[x][1:-1]:
+                clash |= occ.get(v, 0)
+            masks[x] = (bit - 1) ^ clash
+    return masks, at
 
 
 def _join(adj: Sequence[Sequence[int]], s: int, l: int, m: int, counts: dict[Path, int]) -> None:
     """Add the m-cycles whose smallest vertex is s to the `counts` of the
     paths on l+1 vertices (windows) that lie on them.
 
-    Such a cycle is one pair of halves s..t of m // 2 and m - m // 2 edges
-    with disjoint interiors, the one with the smaller first vertex first,
-    as in `octagon_partition`.  Each half's number of partners is credited
-    to the windows inside it, and each pair credits the 2(l - 1) windows
-    (for 1 <= l <= m // 2 + 1) that lie in neither half.
+    Such a cycle is a pair of halves s..t of h = m // 2 and m - h edges
+    with disjoint interiors, as in `octagon_partition`; `_disjoint` gives
+    each half its partners as one mask.  A half's gain, its number of
+    partners, goes to the windows in it up the prefix tree of the halves:
+    each path from s credits its last window once.  Pairs are visited one
+    by one only for odd m, to count a long half's partners, and for l = 0
+    and l >= 2, to credit the 2(l - 1) windows (for 1 <= l <= h + 1) that
+    lie in neither half.
     """
-    h = m // 2
+    h, top = m // 2, m - m // 2
     # an l = 0 window at s or t lies in both halves, so the pair credits it
     lo = 1 if l == 0 else 0
-    # the starts of the windows in neither half, on the cycle that runs
-    # along the first half s..t at 0..h and back along the second to s at m
-    cross = [i for i in range(m) if not (lo <= i <= h - l - lo or h + lo <= i <= m - l - lo)]
-    short = _halves(adj, s, h)
-    long = short if m % 2 == 0 else _halves(adj, s, m - h)
-    for t, bucket in short.items():
-        partners = long.get(t, [])
-        gain = [0] * len(bucket)
-        partner_gain = gain if partners is bucket else [0] * len(partners)
-        for x, a in enumerate(bucket):
-            inner = set(a[1:-1])
-            for y, b in enumerate(partners):
-                if a[1] < b[1] and inner.isdisjoint(b):
-                    gain[x] += 1
-                    partner_gain[y] += 1
-                    if cross:
-                        cycle = a + b[-2:0:-1]
-                        cycle += cycle
-                        for i in cross:
-                            _credit(counts, cycle[i:i + l + 1], 1)
-        both = [(bucket, gain), (partners, partner_gain)]
-        for halves, gains in both[:1] if partners is bucket else both:
-            for half, add in zip(halves, gains):
-                if add:
-                    for i in range(lo, len(half) - l - lo):
-                        _credit(counts, half[i:i + l + 1], add)
-
-
-def _credit(counts: dict[Path, int], window: Path, add: int) -> None:
-    key = window if window[0] < window[-1] else window[::-1]
-    counts[key] = counts.get(key, 0) + add
+    # the windows in neither half, on the cycle that runs along the first
+    # half s..t at 0..h and back along the second to s at m
+    cross = [slice(i, i + l + 1) for i in range(m)
+             if not (lo <= i <= h - l - lo or h + lo <= i <= m - l - lo)]
+    # levels[k]: the paths of k edges from s through vertices above s, in
+    # lexicographic order; starts[k][i]: the first to extend levels[k - 1][i]
+    levels, starts = [[(s,)]], [[0]]
+    for _ in range(top):
+        paths = [p + (w,) for p in levels[-1] for w in adj[p[-1]] if w > s and w not in p]
+        # a path is below its extensions and above those of the paths before it
+        starts.append([bisect_left(paths, p) for p in levels[-1]] + [len(paths)])
+        levels.append(paths)
+    short, long = levels[h], levels[top]
+    masks, long_at = _disjoint(short, long)
+    if not any(masks):  # no m-cycle has s for its smallest vertex
+        return
+    # a pair is walked from its short half a: its long partner's first h
+    # edges come after a (all of it for even m), so that b[1] > a[1]
+    after = range(1, len(short) + 1) if top == h else starts[top][1:]
+    later = [mask & -(1 << bisect_left(long_at.get(a[-1], ()), y))
+             for a, mask, y in zip(short, masks, after)] if cross or top > h else []
+    # for even m the halves are their own partners, and each gains all of them
+    gain = {h: [mask.bit_count() for mask in (masks if top == h else later)]}
+    gain.setdefault(top, [0] * len(long))
+    cycles = []
+    for a, mask in zip(short, later):
+        ys = long_at.get(a[-1], ())
+        while mask:
+            low = mask & -mask
+            mask ^= low
+            y = ys[low.bit_length() - 1]
+            if top > h:  # a long half gains the partners that it is walked from
+                gain[top][y] += 1
+            if cross:  # the cycle twice round, so that a window across s is one slice
+                cycles.append((a + long[y][-2:0:-1]) * 2)
+    credits = [Counter([cycle[i] for cycle in cycles for i in cross]).items()] if cycles else []
+    # the path of depth k credits its last window with the gains of the
+    # halves through it, for l = 0 only of those that run past it
+    below = [0] * len(long)
+    for k in range(top, l + lo - 1, -1):
+        total = [b + g for b, g in zip(below, gain[k])] if k in gain else below
+        adds = below if lo else total
+        credits.append(zip(map(itemgetter(slice(k - l, None)), compress(levels[k], adds)), filter(None, adds)))
+        below = [sum(total[i:j]) for i, j in zip(starts[k], starts[k][1:])]
+    for window, add in chain.from_iterable(credits):
+        if window[0] > window[-1]:
+            window = window[::-1]
+        counts[window] = counts.get(window, 0) + add

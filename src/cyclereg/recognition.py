@@ -527,9 +527,10 @@ def _dp_walks(
     partners x_a, x_b cut the x-rim into arcs of 2k and n - 2k.  The x-rim
     is walked in the frame's orientation ("forward") from x_b forward and
     from x_a backward (k half the forward arc from x_b to x_a), then from
-    x_b backward and from x_a forward (k half the other arc).  For even n
-    both arcs can be even (the twin pair); where they are equal, at
-    k = n/4, this order decides."""
+    x_b backward and from x_a forward (k half the other arc).  The order of
+    the last two never decides: at k = n/4 they are the first two moved by
+    x_i -> x_{i+n/2}, which fixes every u_i and w_i, and no automorphism
+    that fixes them all reverses the x-rim."""
     a, b = fnbrs[partner[rim[0]]]
     xa, xb = partner[a], partner[b]
     walk = _walk(fnbrs, xb, fnbrs[xb][0])

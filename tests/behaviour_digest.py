@@ -22,6 +22,14 @@ The digest covers:
   classes, the edge order and the key order;
 - the stdout and exit code of `analyze - --partition` on every cubic input.
 
+A second line is one sha256 over `regularity_scan` on its own corpus:
+- FQ_3..FQ_8 at the paper's (l, m) = (1,4), (1,6), (2,6) and (1,8);
+- Q_3..Q_6 and FQ_3..FQ_7, each relabeled and each 2-switched, at every
+  l <= 2 and l < m <= 8;
+- 40 random graphs on 4..13 vertices at every l < m <= 8.
+It covers each report, witness paths and counts included, and the stdout
+and exit code of `analyze - --l l --m m` on the same graph.
+
 Its name does not start with `test_`, so pytest does not collect it.
 """
 
@@ -44,10 +52,12 @@ from cyclereg import (
     exact_i_isomorphism,
     generate_dp,
     generate_folded_cube,
+    generate_hypercube,
     generate_i_graph,
     is_regular,
     octagon_partition,
     recognize,
+    regularity_scan,
 )
 from cyclereg.cli import main as cli_main
 
@@ -148,16 +158,37 @@ def outcome(g, spokes=None):
     return ("reject", res.reason, res.detail)
 
 
-def analyze_partition(g):
+def analyze(g, *args):
     out = io.StringIO()
     stdin = sys.stdin
     sys.stdin = io.StringIO(emit_edge_list(g))
     try:
         with contextlib.redirect_stdout(out):
-            code = cli_main(["analyze", "-", "--partition"])
+            code = cli_main(["analyze", "-", *args])
     finally:
         sys.stdin = stdin
     return code, out.getvalue()
+
+
+def scan_corpus():
+    """(graph, l, m) for the second digest, all from fixed seeds."""
+    for n in range(3, 9):
+        for l, m in ((1, 4), (1, 6), (2, 6), (1, 8)):
+            yield generate_folded_cube(FQParams(n)), l, m
+    rng = random.Random(2021)
+    pairs = [(l, m) for m in range(3, 9) for l in range(min(3, m))]
+    for g in [generate_hypercube(n) for n in range(3, 7)] + [generate_folded_cube(FQParams(n)) for n in range(3, 8)]:
+        edges = list(g.edges())
+        for variant in (relabeled(g.n, edges, rng), relabeled(g.n, two_switched(edges, rng), rng)):
+            for l, m in pairs:
+                yield variant, l, m
+    for _ in range(40):
+        n = rng.randint(4, 13)
+        density = rng.uniform(0.2, 0.6)
+        g = build_graph(n, [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < density])
+        for m in range(3, 9):
+            for l in range(m):
+                yield g, l, m
 
 
 def main():
@@ -172,8 +203,17 @@ def main():
         if is_regular(g, 3):
             cubic += 1
             digest.update(repr(list(octagon_partition(g).items())).encode())
-            digest.update(repr(analyze_partition(g)).encode())
+            digest.update(repr(analyze(g, "--partition")).encode())
     print(f"{digest.hexdigest()} {inputs} inputs, {accepts} accepted, {cubic} cubic")
+    digest = hashlib.sha256()
+    scans = regular = 0
+    for g, l, m in scan_corpus():
+        report = regularity_scan(g, l, m)
+        scans += 1
+        regular += report.is_regular
+        digest.update(repr(report).encode())
+        digest.update(repr(analyze(g, "--l", str(l), "--m", str(m))).encode())
+    print(f"{digest.hexdigest()} {scans} scans, {regular} regular")
 
 
 if __name__ == "__main__":
