@@ -48,14 +48,7 @@ from .graph import (
 )
 from .recognition import (
     Certificate,
-    DiagonalState,
     Rejection,
-    determine_diagonals,
-    extend_dp,
-    extend_fq,
-    extend_i,
-    exact_dp_isomorphism,
-    exact_i_isomorphism,
     find_isomorphism,
     recognize,
     recognize_dp,

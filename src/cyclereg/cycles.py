@@ -228,37 +228,35 @@ def octagon_partition(g: LabeledGraph) -> dict[int, list[Edge]]:
 
 
 def _paths_of_length(g: LabeledGraph, l: int) -> Iterator[Path]:
-    """All undirected paths on l+1 vertices, each reported exactly once.
-
-    A path is emitted with its smaller endpoint first; for l = 0 the paths
-    are the single vertices.
+    """All undirected paths on l+1 vertices, each reported exactly once,
+    with its smaller endpoint first; for l = 0 the single vertices.  One
+    walk over a stack of neighbour iterators, one per vertex on the path,
+    gives them in lexicographic order (the rows are sorted) in O(l) memory.
     """
     if l == 0:
-        for v in range(g.n):
-            yield (v,)
+        yield from ((v,) for v in range(g.n))
         return
-
     adj = g.adj
     path = [0] * (l + 1)
     on_path = bytearray(g.n)
-
-    def rec(depth: int) -> Iterator[Path]:
-        if depth == l:
-            if path[0] < path[l]:
-                yield tuple(path)
-            return
-        for w in adj[path[depth]]:
-            if not on_path[w]:
-                path[depth + 1] = w
-                on_path[w] = 1
-                yield from rec(depth + 1)
-                on_path[w] = 0
-
     for v0 in range(g.n):
         path[0] = v0
         on_path[v0] = 1
-        yield from rec(0)
-        on_path[v0] = 0
+        stack = [iter(adj[v0])]
+        while stack:
+            d = len(stack)  # the top iterator runs over path[d - 1]'s neighbours
+            for w in stack[-1]:
+                if not on_path[w]:
+                    path[d] = w
+                    if d < l:
+                        on_path[w] = 1
+                        stack.append(iter(adj[w]))
+                        break
+                    if v0 < w:
+                        yield tuple(path)
+            else:
+                stack.pop()
+                on_path[path[d - 1]] = 0
 
 
 def regularity_scan(g: LabeledGraph, l: int, m: int) -> RegularityReport:

@@ -167,13 +167,13 @@ def bfs(
 def induced_subgraph(
     g: LabeledGraph, vertices: Sequence[int]
 ) -> tuple[LabeledGraph, list[int]]:
-    """Induced subgraph on `vertices` plus the new-id -> old-id table."""
+    """Induced subgraph on `vertices` plus the new-id -> old-id table.
+
+    g is simple already, so its rows are relabeled, not rebuilt: the map
+    from old ids to new is monotone, so each row stays sorted, and each new
+    id is one int object, the value `remap` holds."""
     old_ids = sorted(set(vertices))
     remap = {old: new for new, old in enumerate(old_ids)}
-    edges = [
-        (remap[u], remap[v])
-        for u in old_ids
-        for v in g.adj[u]
-        if u < v and v in remap
-    ]
-    return build_graph(len(old_ids), edges), old_ids
+    adj = g.adj
+    rows = tuple(tuple([remap[v] for v in adj[u] if v in remap]) for u in old_ids)
+    return LabeledGraph(n=len(old_ids), adj=rows), old_ids

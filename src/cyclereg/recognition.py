@@ -1,16 +1,16 @@
 """Robust recognizers with verifiable isomorphism certificates.
 
-Every labeling a recognizer builds is a map from input vertices to member
-ids, and it is accepted only when `_replays` carries it edge for edge onto
-the family's one definition (`families.member_adjacency`); the same replay
-filters the candidate labelings, so a recognizer can never accept a graph
-the definition does not reproduce.  All recognizers take arbitrary graphs
-and reject with a reason otherwise.  Accepted ids are rendered to names by
-`families.vertex_name` alone; `verify_certificate` reads those names back
-in front of the same replay, for certificates from outside.  Folded cubes
-are labeled from one BFS of the whole graph (`extend_fq`); the paper's
-diagonal peeling (`determine_diagonals`) is kept only as the reference the
-tests compare those certificates with.
+Every labeler only proposes candidate labelings, maps from input vertices
+to member ids, and `_certified` is the one accept step: it takes the first
+candidate that `_replays` carries edge for edge onto the family's one
+definition (`families.member_adjacency`), so a recognizer can never accept
+a graph the definition does not reproduce.  All recognizers take arbitrary
+graphs and reject with a reason otherwise.  Accepted ids are rendered to
+names by `families.vertex_name` alone; `verify_certificate` reads those
+names back in front of the same replay, for certificates from outside.
+Folded cubes are labeled from one BFS of the whole graph (`extend_fq`);
+the paper's diagonal peeling (`determine_diagonals`) is kept only as the
+reference the tests compare those certificates with.
 """
 
 from __future__ import annotations
@@ -18,6 +18,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import astuple, dataclass
 from math import gcd
+from typing import Iterable, Iterator
 
 from .cycles import octagon_partition
 from .families import (
@@ -97,10 +98,6 @@ def _replays(g: LabeledGraph, p: Params, phi: dict[int, int]) -> bool:
     return True
 
 
-def _named(p: Params, phi: dict[int, int]) -> dict[int, str]:
-    return {v: vertex_name(p, i) for v, i in phi.items()}
-
-
 def _canonical(p: Params) -> Params:
     """Canonical parameters by family: the I multiplier scan, the smaller
     DP twin, a folded cube's own."""
@@ -116,10 +113,16 @@ def _certificate(p: Params, labeling: dict[int, str]) -> Certificate:
     return Certificate(_FAMILY[type(p)], astuple(p), astuple(_canonical(p)), labeling)
 
 
-def _certified(g: LabeledGraph, p: Params, phi: dict[int, int]) -> Certificate | None:
-    """The certificate of the member-id labeling phi when it replays, else
+def _certified(
+    g: LabeledGraph, labelings: Iterable[tuple[Params, dict[int, int]]]
+) -> tuple[Params, dict[int, str]] | None:
+    """The one accept step: the first candidate (p, phi), taken lazily, whose
+    member-id labeling phi replays against p, with its ids named, else
     None."""
-    return _certificate(p, _named(p, phi)) if _replays(g, p, phi) else None
+    for p, phi in labelings:
+        if _replays(g, p, phi):
+            return p, {v: vertex_name(p, i) for v, i in phi.items()}
+    return None
 
 
 def verify_certificate(g: LabeledGraph, cert: Certificate) -> bool:
@@ -317,16 +320,6 @@ def _minimal_classes(parts: dict[int, list[Edge]]) -> list[list[Edge]]:
 # I-graph recognition
 
 
-def _i_replayed(
-    g: LabeledGraph, n: int, j: int, k: int, u_idx: dict[int, int], w_idx: dict[int, int]
-) -> tuple[IParams, dict[int, int]] | None:
-    """The (u,w) index labeling as member ids of I(n,j,k), if it replays."""
-    p = IParams(n, j, k)
-    phi = dict(u_idx)
-    phi.update((v, n + i) for v, i in w_idx.items())
-    return (p, phi) if _replays(g, p, phi) else None
-
-
 def exact_i_isomorphism(
     g: LabeledGraph, spokes: list[Edge]
 ) -> tuple[IParams, dict[int, str]] | Rejection:
@@ -361,19 +354,16 @@ def exact_i_isomorphism(
         rim, j = long_cycles[0], len(long_cycles)
     if 2 * j >= n:
         return Rejection("cycle-collection-shape", "too many rim cycles")
-    res = _i_label_attempt(g, n, j, rim, partner, fnbrs)
-    return Rejection("labeling-inconsistent") if res is None else (res[0], _named(*res))
+    return _certified(g, _i_label_attempt(n, j, rim, partner, fnbrs)) or Rejection(
+        "labeling-inconsistent"
+    )
 
 
 def _i_label_attempt(
-    g: LabeledGraph,
-    n: int,
-    j: int,
-    rim: list[int],
-    partner: list[int],
-    fnbrs: list[tuple[int, int]],
-) -> tuple[IParams, dict[int, int]] | None:
-    """The first replaying labeling with rim[t] as u_{tj}, or None.
+    n: int, j: int, rim: list[int], partner: list[int], fnbrs: list[tuple[int, int]]
+) -> Iterator[tuple[IParams, dict[int, int]]]:
+    """The candidate labelings with rim[t] as u_{tj}, in the order they are
+    tried.
 
     A rim of all n u's labels every vertex, and k is read off one inner
     edge.  With several rims (j of them, each of l1 = n/j), the inner cycle
@@ -384,35 +374,31 @@ def _i_label_attempt(
     <(l1,0), (-t0,j)> of (rim step, inner step) pairs that land on index 0,
     of index n, so their labelings differ by a unit of Z_n that carries one
     I(n,j,k) onto the other; if any replays, the smallest does, and only it
-    goes to `_i_complete`.  The shadow rim u_{tj+k} is walked from z's spoke
-    partner both ways, and kept when it has the rim's length and the spoke
-    partner of its t-th vertex is an inner neighbour of w_{tj}.
+    is labeled, by `_i_complete`.  The shadow rim u_{tj+k} is walked from
+    z's spoke partner both ways, and kept when it has the rim's length and
+    the spoke partner of its t-th vertex is an inner neighbour of w_{tj}.
     """
     l1 = len(rim)
-    u_idx = {v: (t * j) % n for t, v in enumerate(rim)}
-    w_idx: dict[int, int] = {}
+    phi = {v: t * j % n for t, v in enumerate(rim)}
     for t, v in enumerate(rim):
-        w = partner[v]
-        if w in u_idx or w in w_idx:
-            return None
-        w_idx[w] = (t * j) % n
+        if partner[v] in phi:  # a spoke inside the rim
+            return
+        phi[partner[v]] = n + t * j % n
 
     w0 = partner[rim[0]]
     if l1 == n:
         # the rim and its spoke partners already label everything
-        z = fnbrs[w0][0]
-        if z not in w_idx:
-            return None
-        k = _fold(w_idx[z] - w_idx[w0], n)
-        if k < 1 or 2 * k >= n:
-            return None
-        return _i_replayed(g, n, j, k, u_idx, w_idx)
+        k = _fold(phi[fnbrs[w0][0]] - phi[w0], n)
+        if 0 < k and 2 * k < n:
+            yield IParams(n, j, k), phi
+        return
 
+    # the inner walk leaves the rim, so the rim partners on it are the w's
     for z1 in fnbrs[w0]:
         ring = _walk(fnbrs, w0, z1) + [w0]
-        if next(s for s in range(1, len(ring)) if ring[s] in w_idx) != j:
+        if next(s for s in range(1, len(ring)) if ring[s] in phi) != j:
             continue
-        k = w_idx[ring[j]] // j or l1
+        k = (phi[ring[j]] - n) // j or l1
         while 2 * k < n and gcd(j, k) > 1:
             k += l1
         if 2 * k >= n:
@@ -420,35 +406,27 @@ def _i_label_attempt(
         for p2 in fnbrs[partner[z1]]:
             zs = [partner[p] for p in _walk(fnbrs, partner[z1], p2)]
             if len(zs) == l1 and all(zs[t] in fnbrs[partner[v]] for t, v in enumerate(rim)):
-                res = _i_complete(g, n, j, k, rim, zs, partner, fnbrs)
-                if res is not None:
-                    return res
-    return None
+                yield _i_complete(n, j, k, rim, zs, partner, fnbrs)
 
 
 def _i_complete(
-    g: LabeledGraph,
-    n: int,
-    j: int,
-    k: int,
-    rim: list[int],
-    zs: list[int],
-    partner: list[int],
-    fnbrs: list[tuple[int, int]],
-) -> tuple[IParams, dict[int, int]] | None:
-    """Label I(n,j,k) from the rim and the shadow's partners zs[t] =
-    w_{tj+k}: each inner cycle not yet labeled is walked from w_{tj}
-    through zs[t] as w_{tj}, w_{tj+k}, w_{tj+2k}, ..., each u takes its
-    spoke partner's index, and the replay decides.  In a labeling that
-    replays, w_0 and w_j lie on two inner cycles (gcd(n,j,k) = 1), so both
-    are walk starts: the rim runs u_0, u_j, ... as labeled, not mirrored."""
-    w_idx: dict[int, int] = {}
+    n: int, j: int, k: int, rim: list[int], zs: list[int],
+    partner: list[int], fnbrs: list[tuple[int, int]],
+) -> tuple[IParams, dict[int, int]]:
+    """The candidate labeling of I(n,j,k) from the rim and the shadow's
+    partners zs[t] = w_{tj+k}: each inner cycle not yet labeled is walked
+    from w_{tj} through zs[t] as w_{tj}, w_{tj+k}, w_{tj+2k}, ..., and each
+    w's spoke partner is the u of its index.  In a labeling that replays,
+    w_0 and w_j lie on two inner cycles (gcd(n,j,k) = 1), so both are walk
+    starts: the rim runs u_0, u_j, ... as labeled, not mirrored."""
+    phi: dict[int, int] = {}
     for t, v in enumerate(rim):
-        if partner[v] not in w_idx:
+        if partner[v] not in phi:
             for s, w in enumerate(_walk(fnbrs, partner[v], zs[t])):
-                w_idx[w] = (t * j + s * k) % n
-    u_idx = {partner[w]: i for w, i in w_idx.items()}
-    return _i_replayed(g, n, j, k, u_idx, w_idx)
+                i = (t * j + s * k) % n
+                phi[w] = n + i
+                phi[partner[w]] = i
+    return IParams(n, j, k), phi
 
 
 def extend_i(g: LabeledGraph, spokes: list[Edge]) -> Certificate | Rejection:
@@ -467,14 +445,12 @@ def _constant_branch(g: LabeledGraph, family: str) -> Certificate | Rejection:
     else:
         members = list(dict.fromkeys(dp_canonical_params(DPParams(*p)) for p in CYCLE_REGULAR_DP))
     generate = generate_i_graph if family == I_GRAPH else generate_dp
-    for p in members:
-        iso = find_isomorphism(g, generate(p)) if member_order(p) == g.n else None
-        if iso is None:
-            continue
-        cert = _certified(g, p, {v: iso[v] for v in range(g.n)})  # labeled in vertex order
-        if cert:
-            return cert
-    return Rejection("not-isomorphic", "constant 8-cycle count but no stored match")
+    isos = ((p, find_isomorphism(g, generate(p))) for p in members if member_order(p) == g.n)
+    # labeled in vertex order
+    res = _certified(g, ((p, {v: iso[v] for v in range(g.n)}) for p, iso in isos if iso is not None))
+    if res is None:
+        return Rejection("not-isomorphic", "constant 8-cycle count but no stored match")
+    return _certificate(*res)
 
 
 # ---------------------------------------------------------------------------
@@ -506,17 +482,20 @@ def exact_dp_isomorphism(
         if len(rim) == n
         for k, walk in _dp_walks(n, rim, partner, fnbrs)
     ]
-    for p, rim, walk in sorted(options, key=lambda opt: (dp_canonical_params(opt[0]).k, opt[0].k)):
-        phi: dict[int, int] = {}
-        for t, v in enumerate(rim):
-            phi[v] = t  # u_t
-            phi[partner[v]] = n + t  # w_t
-        for s, v in enumerate(walk):
-            phi[v] = 2 * n + (s - p.k) % n  # x_{s-k}
-            phi[partner[v]] = 3 * n + (s - p.k) % n  # y_{s-k}
-        if _replays(g, p, phi):
-            return p, _named(p, phi)
-    return Rejection("labeling-inconsistent")
+    options.sort(key=lambda opt: (dp_canonical_params(opt[0]).k, opt[0].k))
+
+    def labelings() -> Iterator[tuple[DPParams, dict[int, int]]]:
+        for p, rim, walk in options:
+            phi: dict[int, int] = {}
+            for t, v in enumerate(rim):
+                phi[v] = t  # u_t
+                phi[partner[v]] = n + t  # w_t
+            for s, v in enumerate(walk):
+                phi[v] = 2 * n + (s - p.k) % n  # x_{s-k}
+                phi[partner[v]] = 3 * n + (s - p.k) % n  # y_{s-k}
+            yield p, phi
+
+    return _certified(g, labelings()) or Rejection("labeling-inconsistent")
 
 
 def _dp_walks(
@@ -586,9 +565,10 @@ def _i_components(g: LabeledGraph, comps: list[list[int]]) -> Certificate | Reje
         for local_v, old_v in enumerate(comp):
             side, idx = divmod(ids[cert.labeling[local_v]], p.n)
             phi[old_v] = (side ^ swap) * merged.n + r + (a * idx) % p.n * d
-    return _certified(g, merged, phi) or Rejection(
-        "labeling-inconsistent", "component merge failed verification"
-    )
+    res = _certified(g, [(merged, phi)])
+    if res is None:
+        return Rejection("labeling-inconsistent", "component merge failed verification")
+    return _certificate(*res)
 
 
 def _from_partition(
@@ -778,9 +758,10 @@ def extend_fq(g: LabeledGraph) -> Certificate | Rejection:
         word[x] = w
     mask = size - 1
     labels = {v: (w & mask) ^ mask if w & size else w for v, w in enumerate(word)}
-    return _certified(g, FQParams(n), labels) or Rejection(
-        "not-isomorphic", "certificate failed verification"
-    )
+    res = _certified(g, [(FQParams(n), labels)])
+    if res is None:
+        return Rejection("not-isomorphic", "certificate failed verification")
+    return _certificate(*res)
 
 
 def recognize_folded_cube(g: LabeledGraph) -> Certificate | Rejection:
@@ -790,9 +771,8 @@ def recognize_folded_cube(g: LabeledGraph) -> Certificate | Rejection:
     if size == 0:
         return Rejection("order", "empty graph")
     if size in (1, 2):  # FQ_1 = K_1 and FQ_2 = K_2, labeled by identity
-        return _certified(g, FQParams(size), {v: v for v in range(size)}) or Rejection(
-            "not-isomorphic"
-        )
+        res = _certified(g, [(FQParams(size), {v: v for v in range(size)})])
+        return _certificate(*res) if res else Rejection("not-isomorphic")
     return extend_fq(g)
 
 

@@ -49,7 +49,6 @@ from cyclereg import (
     IParams,
     build_graph,
     emit_edge_list,
-    exact_i_isomorphism,
     generate_dp,
     generate_folded_cube,
     generate_hypercube,
@@ -60,6 +59,7 @@ from cyclereg import (
     regularity_scan,
 )
 from cyclereg.cli import main as cli_main
+from cyclereg.recognition import exact_i_isomorphism
 
 MAX_N = 24
 FQ_DIMS = range(1, 11)

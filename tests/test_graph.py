@@ -120,14 +120,21 @@ def edge_sets(draw):
 
 
 @settings(max_examples=60, deadline=None)
-@given(edge_sets())
-def test_adjacency_symmetry_and_sortedness(ne):
+@given(edge_sets(), st.randoms(use_true_random=False))
+def test_adjacency_symmetry_and_sortedness(ne, rnd):
     n, edges = ne
     g = build_graph(n, edges)
     for u in range(n):
         assert list(g.adj[u]) == sorted(g.adj[u])
         for v in g.adj[u]:
             assert u in g.adj[v]
+    # an induced subgraph relabels g's rows; the reference rebuilds them
+    # from the kept edges, given in any order and with repeats
+    keep = sorted(rnd.sample(range(n), rnd.randint(0, n)))
+    remap = {old: new for new, old in enumerate(keep)}
+    kept = [(remap[u], remap[v]) for u, v in edges if u in remap and v in remap]
+    reference = build_graph(len(keep), kept)
+    assert induced_subgraph(g, rnd.sample(keep, len(keep)) + keep[:1]) == (reference, keep)
 
 
 

@@ -23,12 +23,7 @@ from cyclereg import (
     build_graph,
     canonical_i_params,
     connected_components,
-    determine_diagonals,
     dp_canonical_params,
-    exact_dp_isomorphism,
-    exact_i_isomorphism,
-    extend_fq,
-    extend_i,
     find_isomorphism,
     generate_dp,
     generate_folded_cube,
@@ -42,6 +37,13 @@ from cyclereg import (
     recognize_i_graph,
     verify_certificate,
     vertex_name,
+)
+from cyclereg.recognition import (
+    determine_diagonals,
+    exact_dp_isomorphism,
+    exact_i_isomorphism,
+    extend_fq,
+    extend_i,
 )
 from cyclereg.scans import canonical_i_grid, dp_grid
 from cyclereg.tables import CYCLE_REGULAR_DP, CYCLE_REGULAR_I
@@ -294,6 +296,17 @@ def test_i_labeling_attempts_bounded(monkeypatch):
         res = exact_i_isomorphism(g, spokes)
         assert isinstance(res, Rejection) and res.reason == "labeling-inconsistent"
         assert calls["_i_label_attempt"] == 1 and calls["_i_complete"] <= most, (p, calls)
+
+
+def test_i_rim_labeling_refuses_k_of_half_n():
+    # two 6-cycle rims, the inner one w0 w3 w1 w4 w2 w5: k = 3 = n/2 read
+    # off w0's first inner neighbour is no I(6,1,k), so the labeler
+    # proposes nothing, where a replay against I(6,1,3) would raise
+    rims = [(i, (i + 1) % 6) for i in range(6)]
+    rims += [(6 + a, 6 + b) for a, b in zip((0, 3, 1, 4, 2, 5), (3, 1, 4, 2, 5, 0))]
+    spokes = [(i, 6 + i) for i in range(6)]
+    g = build_graph(12, rims + spokes)
+    assert exact_i_isomorphism(g, spokes) == Rejection("labeling-inconsistent")
 
 
 def test_multi_rim_certificates_and_reflected_near_misses_pinned():
@@ -1035,6 +1048,21 @@ def test_traced_benchmark_names_resolve():
         importlib.import_module(f"cyclereg.{mod}")
         for name in names:
             assert callable(getattr(sys.modules[f"cyclereg.{mod}"], name)), (mod, name)
+
+
+def test_one_accept_step():
+    # labelers only propose member-id labelings: `_certified` alone replays
+    # them and `_certificate` alone makes certificates, and the only other
+    # replay is `verify_certificate`'s, of certificates from outside.  A
+    # second accept path has to change this test on purpose.
+    import cyclereg.recognition as recognition
+
+    sites = {"_replays": set(), "Certificate": set()}
+    for top in ast.parse(Path(recognition.__file__).read_text()).body:
+        for node in ast.walk(top):
+            if isinstance(node, ast.Call) and getattr(node.func, "id", None) in sites:
+                sites[node.func.id].add(getattr(top, "name", None))
+    assert sites == {"_replays": {"_certified", "verify_certificate"}, "Certificate": {"_certificate"}}
 
 
 def test_benchmark_checker_imports_resolve():
