@@ -1,6 +1,6 @@
 """Per-orbit 8-cycle counts of I- and DP-graphs, the published lists of
-their members with a constant per-edge 8-cycle count, and the closed-form
-cycle-regularity constants for folded cubes.
+their members with a constant per-edge 8-cycle count, and the
+cycle-regularity constants of folded cubes, counted from cycle shapes.
 
 I(n,j,k) and DP(n,k) are Z_n-voltage lifts of small base graphs (Gross and
 Tucker, Topological Graph Theory, 1987).  The base graph of I has vertices
@@ -18,9 +18,11 @@ classification and to the cycle oracle.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from functools import cache
 from itertools import accumulate
+from math import perm
 
 from .cycles import OctagonTriple
 from .families import DPParams, IParams
@@ -115,10 +117,10 @@ class UnsupportedPatternError(ValueError):
 
 @dataclass(frozen=True)
 class FqLambda:
-    """Closed-form cycle-regularity constant of a folded cube.
+    """Cycle-regularity constant of a folded cube.
 
-    value None means the graph is provably not [l,lambda,m]-cycle regular
-    for the requested pattern (only FQ_4 with (l,m) = (2,6)).  conjectured
+    value None means not [l,lambda,m]-cycle regular; only
+    `published_fq_lambda` gives it, for FQ_4 at (l,m) = (2,6).  conjectured
     marks the published [1,lambda,8] values, which rest on a conjectured
     cubic that the oracle refutes at n = 5, 7 and every n >= 9.
     """
@@ -131,67 +133,62 @@ class FqLambda:
         return self.value is not None
 
 
+@cache
+def _fq_shapes(l: int, m: int) -> tuple[tuple[tuple[int, bool, bool], int], ...]:
+    """The closed words of m generators through a fixed path of l edges,
+    named in order of first use, counted by their number r of names,
+    whether every count is even, and whether they are m-cycles at n = r,
+    where all n counts odd also close.  A word grows by its prefix sums
+    over the names, which must differ: no proper subword is all even."""
+    shapes: Counter[tuple[int, bool, bool]] = Counter()
+
+    def grow(sums: list[int], r: int) -> None:
+        if len(sums) <= m:
+            for name in range(r + 1):
+                s = sums[-1] ^ 1 << name
+                if s not in sums[len(sums) == m:]:  # the whole word may close
+                    grow(sums + [s], max(r, name + 1))
+            return
+        full = (1 << r) - 1
+        if sums[-1] in (0, full):
+            odd_inside = any(a ^ b == full for i, a in enumerate(sums) for b in sums[i + 1:i + m])
+            shapes[r, sums[-1] == 0, not odd_inside] += 1
+
+    grow([(1 << i) - 1 for i in range(l + 1)], l)
+    return tuple(shapes.items())
+
+
 def fq_lambda(n: int, l: int, m: int) -> FqLambda:
-    """Cycle-regularity constant of FQ_n for the supported (l,m) patterns,
-    all settled.
+    """Cycle-regularity constant of FQ_n for the supported (l,m) patterns.
 
-    (1,8): FQ_n is arc-transitive, so one edge's 8-cycles give lambda.  An
-    8-cycle through an edge is a closed word of 8 generators (e_1, ...,
-    e_(n-1) and their sum) with no closed proper subword.  Words that use
-    every generator an even number of times span at most 4 of them and are
-    the 8-cycles of the hypercube Q_n through an edge, (n-1)(n-2)(27n-79)
-    of them for n >= 5.  Words that use all n generators an odd number of
-    times need n even and n <= 8: 1920 at n = 6 and 7! = 5040 at n = 8.
-
-    Two published (2,6) special values are corrected here because they are
-    refuted by exhaustive counting (and, for n = 6, by arithmetic against
-    the published [1,200,6] constant): FQ_4 is [2,12,6]-cycle regular, not
-    irregular, and FQ_6 is [2,40,6], not [2,2,6].  The values as printed
-    are available from `published_fq_lambda`, and so is the published
-    conjectured cubic for (1,8).
+    FQ_n (n >= 3) is the Cayley graph of Z_2^(n-1) on e_1, ..., e_(n-1)
+    and their sum, and it is 2-arc-transitive, so the m-cycles through one
+    path of l <= 2 edges give lambda.  Such a cycle is a word of m
+    generators that closes, with every count even or with all n counts
+    odd, and has no closed proper subword.  A shape of `_fq_shapes` with
+    r names stands for (n-l)!/(n-r)! words: with every count even at any
+    n > r, and at n = r when it is a cycle there.
     """
     if n < 1:
         raise UnsupportedPatternError(f"dimension must be >= 1, got {n}")
-    if (l, m) == (1, 4):
-        if n in (1, 2):
-            return FqLambda(0)
-        if n == 4:
-            return FqLambda(9)
-        return FqLambda(n - 1)
-    if (l, m) == (1, 6):
-        if n in (1, 2, 3):
-            return FqLambda(0)
-        if n == 4:
-            return FqLambda(36)
-        if n == 6:
-            return FqLambda(200)
-        return FqLambda(4 * (n - 2) * (n - 1))
-    if (l, m) == (2, 6):
-        if n in (1, 2, 3):
-            return FqLambda(0)
-        if n == 4:
-            return FqLambda(12)
-        if n == 6:
-            return FqLambda(40)
-        return FqLambda(4 * (n - 2))
-    if (l, m) == (1, 8):
-        if n in (1, 2, 3):
-            return FqLambda(0)
-        if n == 4:
-            return FqLambda(36)
-        if n == 6:
-            return FqLambda(3580)
-        if n == 8:
-            return FqLambda(10794)
-        return FqLambda((n - 1) * (n - 2) * (27 * n - 79))
-    raise UnsupportedPatternError(f"no closed form for (l,m) = ({l},{m})")
+    if (l, m) not in ((1, 4), (1, 6), (2, 6), (1, 8)):
+        raise UnsupportedPatternError(f"no closed form for (l,m) = ({l},{m})")
+    if n < 3:  # FQ_1 = K_1 and FQ_2 = K_2
+        return FqLambda(0)
+    return FqLambda(sum(count * perm(n - l, r - l) for (r, even, at_r), count in _fq_shapes(l, m)
+                        if even and r < n or at_r and r == n))
 
 
 def published_fq_lambda(n: int, l: int, m: int) -> FqLambda:
     """The cycle-regularity constants exactly as printed in the source
     tables, including the two (2,6) values and the conjectured (1,8) cubic
     that the oracle refutes.  Meant for discrepancy reporting, never for
-    recognition."""
+    recognition.
+
+    The two (2,6) values are refuted by exhaustive counting (and, for
+    n = 6, by arithmetic against the published [1,200,6] constant): FQ_4
+    is [2,12,6]-cycle regular, not irregular, and FQ_6 is [2,40,6], not
+    [2,2,6].  `fq_lambda` gives the counted values."""
     lam = fq_lambda(n, l, m)
     if (l, m) == (2, 6) and n == 4:
         return FqLambda(None)

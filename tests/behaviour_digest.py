@@ -30,6 +30,10 @@ A second line is one sha256 over `regularity_scan` on its own corpus:
 It covers each report, witness paths and counts included, and the stdout
 and exit code of `analyze - --l l --m m` on the same graph.
 
+A third line is one sha256 over `fq_lambda` and `published_fq_lambda` at
+the paper's four (l, m) and every n <= 60: the value and `conjectured`, or
+the type of the exception raised.
+
 Its name does not start with `test_`, so pytest does not collect it.
 """
 
@@ -49,12 +53,14 @@ from cyclereg import (
     IParams,
     build_graph,
     emit_edge_list,
+    fq_lambda,
     generate_dp,
     generate_folded_cube,
     generate_hypercube,
     generate_i_graph,
     is_regular,
     octagon_partition,
+    published_fq_lambda,
     recognize,
     regularity_scan,
 )
@@ -65,6 +71,7 @@ MAX_N = 24
 FQ_DIMS = range(1, 11)
 RANDOM_CUBIC = 28
 MULTI_RIM_N = range(25, 49)
+FQ_PATTERNS = ((1, 4), (1, 6), (2, 6), (1, 8))
 
 
 def members():
@@ -173,7 +180,7 @@ def analyze(g, *args):
 def scan_corpus():
     """(graph, l, m) for the second digest, all from fixed seeds."""
     for n in range(3, 9):
-        for l, m in ((1, 4), (1, 6), (2, 6), (1, 8)):
+        for l, m in FQ_PATTERNS:
             yield generate_folded_cube(FQParams(n)), l, m
     rng = random.Random(2021)
     pairs = [(l, m) for m in range(3, 9) for l in range(min(3, m))]
@@ -214,6 +221,19 @@ def main():
         digest.update(repr(report).encode())
         digest.update(repr(analyze(g, "--l", str(l), "--m", str(m))).encode())
     print(f"{digest.hexdigest()} {scans} scans, {regular} regular")
+    digest = hashlib.sha256()
+    lambdas = 0
+    for l, m in FQ_PATTERNS:
+        for n in range(61):
+            for constant in (fq_lambda, published_fq_lambda):
+                try:
+                    lam = constant(n, l, m)
+                    entry = (lam.value, lam.conjectured)
+                except Exception as e:
+                    entry = type(e).__name__
+                lambdas += 1
+                digest.update(repr((constant.__name__, n, l, m, entry)).encode())
+    print(f"{digest.hexdigest()} {lambdas} lambdas")
 
 
 if __name__ == "__main__":

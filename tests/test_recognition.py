@@ -414,6 +414,17 @@ def test_dp_certificates_pinned_beyond_n_14():
     assert digest.hexdigest() == "4ba577e0fa18b98c19541bfa0a8c6d4cca582de73a257bd6d2183a79dc0cb723"
 
 
+def test_dp_certificates_are_in_their_canonical_frame():
+    # a DP certificate's labeling names vertices in the frame of
+    # cert.params, and for DP that is always the canonical pair (for I it
+    # need not be)
+    grid = dp_grid(40)
+    assert len(grid) == 380
+    for p in grid:
+        cert = _accept(recognize_dp(shuffled(generate_dp(p), p.n * 131 + p.k)))
+        assert cert.params == cert.canonical_params, p
+
+
 def _dp_adjacent(n, k, a, b):
     """DP(n,k) adjacency from the definition, on u, w, x, y at offsets 0, n,
     2n, 3n: the u- and x-rims, the spokes u_i w_i and x_i y_i, and the

@@ -222,11 +222,66 @@ def test_fq_lambda_values():
     assert fq_lambda(5, 1, 8) == FqLambda(672)
 
 
-def test_fq_eight_cycle_lambda_equals_one_edge_oracle():
-    # FQ_n is arc-transitive, so the 8-cycles through one edge give lambda
-    for n in range(2, 13):
+FQ_PATTERNS = ((1, 4), (1, 6), (2, 6), (1, 8))
+
+
+def test_fq_lambda_equals_one_path_oracle():
+    # FQ_n is 2-arc-transitive, so the m-cycles through one path of l
+    # edges give lambda; vertex 0 is adjacent to 1 and 2
+    for n in range(3, 13):
         g = generate_folded_cube(FQParams(n))
-        assert count_cycles_through_path(g, (0, 1), 8) == fq_lambda(n, 1, 8).value, n
+        for l, m in FQ_PATTERNS:
+            path = (0, 1) if l == 1 else (1, 0, 2)
+            assert count_cycles_through_path(g, path, m) == fq_lambda(n, l, m).value, (n, l, m)
+
+
+def hand_typed_fq_lambda(n: int, l: int, m: int) -> FqLambda:
+    """The four formulas and ten per-n specials that `fq_lambda` typed by
+    hand before it counted cycle shapes."""
+    if n < 1:
+        raise UnsupportedPatternError(f"dimension must be >= 1, got {n}")
+    if (l, m) == (1, 4):
+        if n in (1, 2):
+            return FqLambda(0)
+        if n == 4:
+            return FqLambda(9)
+        return FqLambda(n - 1)
+    if (l, m) == (1, 6):
+        if n in (1, 2, 3):
+            return FqLambda(0)
+        if n == 4:
+            return FqLambda(36)
+        if n == 6:
+            return FqLambda(200)
+        return FqLambda(4 * (n - 2) * (n - 1))
+    if (l, m) == (2, 6):
+        if n in (1, 2, 3):
+            return FqLambda(0)
+        if n == 4:
+            return FqLambda(12)
+        if n == 6:
+            return FqLambda(40)
+        return FqLambda(4 * (n - 2))
+    if (l, m) == (1, 8):
+        if n in (1, 2, 3):
+            return FqLambda(0)
+        if n == 4:
+            return FqLambda(36)
+        if n == 6:
+            return FqLambda(3580)
+        if n == 8:
+            return FqLambda(10794)
+        return FqLambda((n - 1) * (n - 2) * (27 * n - 79))
+    raise UnsupportedPatternError(f"no closed form for (l,m) = ({l},{m})")
+
+
+def test_fq_lambda_equals_hand_typed_rule():
+    # (1,8) at n = 5, 7 and n >= 9 is (n-1)(n-2)(27n-79), the 8-cycles of
+    # the hypercube Q_n through an edge; the specials are at even n <= m,
+    # where a word or subword with all n generators odd closes too
+    for l, m in FQ_PATTERNS:
+        for n in range(1, 101):
+            assert fq_lambda(n, l, m) == hand_typed_fq_lambda(n, l, m), (n, l, m)
 
 
 def test_fq_lambda_corrected_specials_vs_published():
@@ -240,7 +295,7 @@ def test_fq_lambda_corrected_specials_vs_published():
 
 
 def test_fq_lambda_unsupported():
-    with pytest.raises(UnsupportedPatternError):
-        fq_lambda(5, 3, 8)
-    with pytest.raises(UnsupportedPatternError):
-        fq_lambda(0, 1, 4)
+    # the shapes could count more patterns; the API stays at the paper's four
+    for n, l, m in ((5, 3, 8), (0, 1, 4), (5, 1, 10), (5, 2, 8), (5, 1, 5)):
+        with pytest.raises(UnsupportedPatternError):
+            fq_lambda(n, l, m)
